@@ -19,7 +19,7 @@ Four experiments:
 * **EXP-CHURN-LADDER** — the EXP-METRICS-SCALING extension at flat-core
   scale: sustained random churn at n ∈ {10k, 100k, 1M} through the full
   production path (healer → harness, ``metrics="none"`` fast stats,
-  ``keep_rounds=False`` streaming, O(1) adversary sampling).  Per-event
+  ``keep_rounds=False`` streaming, O(log n) adversary sampling).  Per-event
   cost must stay ~flat across the ladder — the committed baseline is
   gated by ``benchmarks/check_churn_baseline.py`` (≤ 2x µs/event growth
   bottom rung to top).
@@ -101,21 +101,22 @@ def run_flat_ladder():
     Each rung plays ``LADDER_EVENTS`` mixed insert/delete events against
     the (flat-core) healer via :func:`run_churn_campaign` with every
     large-n knob on: ``metrics="none"`` + healer fast stats (no per-event
-    graph materialization), ``keep_rounds=False`` (O(1) memory), and the
-    adversary's O(1) ``fast_sample`` path.  Per-event durations are taken
-    between round callbacks, so setup — building the healer and the
-    campaign's one O(n) initial snapshot — is excluded, and the gated
-    column is the *median* duration: an O(n)-per-event regression shifts
-    every event and therefore the median, while interpreter artifacts
-    that hit a few percent of events (gen-2 GC pauses scanning the
-    million-entry id maps, the adversary's one-time fresh-id seed) only
-    move the mean, which is reported alongside for honesty.
+    graph materialization) and ``keep_rounds=False`` (O(1) memory), under
+    the default adversary (its uniform picks read the healer's O(log n)
+    ``alive_order``).  Per-event durations are taken between round
+    callbacks, so setup — building the healer and the campaign's one O(n)
+    initial snapshot — is excluded, and the gated column is the *median*
+    duration: an O(n)-per-event regression shifts every event and
+    therefore the median, while interpreter artifacts that hit a few
+    percent of events (gen-2 GC pauses scanning the million-entry id
+    maps, the adversary's one-time fresh-id seed and ``alive_order``
+    build) only move the mean, which is reported alongside for honesty.
     """
     rows = []
     for n0 in LADDER_SIZES:
         tree = generators.random_tree(n0, seed=3)
         healer = ForgivingTreeHealer({k: set(v) for k, v in tree.items()})
-        adversary = RandomChurnAdversary(p_insert=0.5, seed=3, fast_sample=True)
+        adversary = RandomChurnAdversary(p_insert=0.5, seed=3)
         gc.collect()  # level the playing field between rungs
         durations = []
         last = [0.0]
@@ -178,37 +179,26 @@ def run_churn_duel():
 def run_metrics_scaling():
     """Per-round diameter measurement: full-BFS sweep vs incremental.
 
-    Both are driven by the same churn stream over the same engine; the
+    Both are driven by the same churn stream over the same healer; the
     shared per-round cost (applying the event, materializing the image)
     is excluded from both timers so the rows isolate measurement cost.
     """
     rows = []
     for n in METRICS_SIZES:
         tree = generators.random_tree(n, seed=2)
-        engine = ForgivingTreeHealer({k: set(v) for k, v in tree.items()}).engine
+        healer = ForgivingTreeHealer({k: set(v) for k, v in tree.items()})
         tracker = DynamicTreeMetrics(tree)
         adversary = RandomChurnAdversary(p_insert=0.5, seed=2)
         adversary.reset()
-
-        class _Shim:
-            """Just enough healer surface for the adversary."""
-
-            alive = property(lambda self: engine.alive)
-            known_ids = property(lambda self: set(engine.original_degree))
-
-            def graph(self):
-                return engine.adjacency()
-
-        shim = _Shim()
         t_sweep = t_inc = 0.0
         agree = brackets = 0
         for _ in range(METRICS_ROUNDS):
-            event = adversary.next_event(shim)
+            event = adversary.next_event(healer)
             if isinstance(event, Insert):
-                rep = engine.insert(event.nid, event.attach_to)
+                rep = healer.insert(event.nid, event.attach_to)
             else:
-                rep = engine.delete(event.nid)
-            image = engine.adjacency()
+                rep = healer.delete(event.nid)
+            image = healer.tree_overlay()
 
             t0 = time.perf_counter()
             d_sweep = diameter_double_sweep(image, seed=2)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..baselines.base import Healer
 from ..churn.events import ChurnEvent, Delete, Insert, InsertWave
@@ -100,47 +100,31 @@ def region_ball(graph, centers, radius: int) -> set:
     return ball
 
 
-def _pick_attachment(
-    healer: Healer,
-    rng: random.Random,
-    prefer: str,
-    alive: Optional[list] = None,
-    graph=None,
-) -> int:
-    """Choose a live attachment point: uniform, hub-seeking, or leaf.
+def _check_attach(attach: str) -> str:
+    if attach not in ("random", "hub", "leaf"):
+        raise ValueError(f"unknown attachment preference {attach!r}")
+    return attach
 
-    ``alive`` (sorted) and ``graph`` may be passed in when the caller
-    already has them — a wave adversary picks many attachment points per
-    event and should not re-sort or re-copy per joiner.
-    """
-    if alive is None:
-        alive = sorted(healer.alive)
+
+def _pick_attachment(healer: Healer, rng: random.Random, prefer: str) -> int:
+    """Choose a live attachment point: uniform, hub-seeking, or leaf."""
+    alive = healer.alive
     if not alive:
         raise SimulationOverError("no live node to attach to")
     if prefer == "random":
-        return rng.choice(alive)
-    if graph is None:
-        graph = healer.graph()
+        return rng.choice(healer.alive_order)
+    graph = healer.graph()
+    # (degree, -id) and (degree, id) are total orders: scan order is moot.
     if prefer == "hub":
         return max(alive, key=lambda x: (len(graph[x]), -x))
-    if prefer == "leaf":
-        return min(alive, key=lambda x: (len(graph[x]), x))
-    raise ValueError(f"unknown attachment preference {prefer!r}")
+    return min(alive, key=lambda x: (len(graph[x]), x))
 
 
 class RandomChurnAdversary(ChurnAdversary):
     """Coin-flip churn: insert with probability ``p_insert``, else delete
     a uniform victim.  Forces a join when one node remains so campaigns
-    of any length stay playable.
-
-    ``fast_sample=True`` opts into the healer's O(1) ``sample_alive``
-    capability for uniform picks instead of the classic
-    ``sorted(alive)`` draw — same uniform distribution, but a *different*
-    (still seed-deterministic) random stream, so it is opt-in: committed
-    baselines and regression traces keep the classic stream.  Without
-    the capability (or with ``attach != "random"``) it falls back to the
-    classic path.  The sorted draw is O(n log n) per event — the single
-    largest harness cost at ladder scale (n = 10k..1M)."""
+    of any length stay playable.  Uniform picks draw from the healer's
+    ``alive_order`` in O(log n) per event."""
 
     name = "random-churn"
 
@@ -149,31 +133,17 @@ class RandomChurnAdversary(ChurnAdversary):
         p_insert: float = 0.5,
         seed: int = 0,
         attach: str = "random",
-        fast_sample: bool = False,
     ) -> None:
         super().__init__()
         if not 0.0 <= p_insert <= 1.0:
             raise ValueError("p_insert must be within [0, 1]")
         self.p_insert = p_insert
         self.seed = seed
-        self.attach = attach
-        self.fast_sample = fast_sample
+        self.attach = _check_attach(attach)
         self._rng = random.Random(seed)
 
     def next_event(self, healer: Healer) -> ChurnEvent:
-        sampler = (
-            getattr(healer, "sample_alive", None)
-            if self.fast_sample and self.attach == "random"
-            else None
-        )
-        if sampler is not None:
-            n_alive = len(healer.alive)
-            if not n_alive:
-                raise SimulationOverError("network is empty")
-            if n_alive <= 1 or self._rng.random() < self.p_insert:
-                return Insert(self._fresh_id(healer), sampler(self._rng))
-            return Delete(sampler(self._rng))
-        alive = sorted(healer.alive)
+        alive = healer.alive_order
         if not alive:
             raise SimulationOverError("network is empty")
         if len(alive) <= 1 or self._rng.random() < self.p_insert:
@@ -213,23 +183,19 @@ class WaveChurnAdversary(ChurnAdversary):
         self.wave = wave
         self.p_wave = p_wave
         self.seed = seed
-        self.attach = attach
+        self.attach = _check_attach(attach)
         self._rng = random.Random(seed)
 
     def next_event(self, healer: Healer) -> ChurnEvent:
-        alive = sorted(healer.alive)
+        alive = healer.alive_order
         if not alive:
             raise SimulationOverError("network is empty")
         if len(alive) <= 1 or self._rng.random() < self.p_wave:
-            # Attachment points are chosen against the pre-wave state
-            # (wave semantics), so alive/graph are computed once per wave.
-            graph = healer.graph() if self.attach in ("hub", "leaf") else None
+            # Every attachment point is drawn against the pre-wave state.
             joiners = tuple(
                 (
                     self._fresh_id(healer),
-                    _pick_attachment(
-                        healer, self._rng, self.attach, alive=alive, graph=graph
-                    ),
+                    _pick_attachment(healer, self._rng, self.attach),
                 )
                 for _ in range(self.wave)
             )
@@ -275,7 +241,7 @@ class ScatterChurnAdversary(ChurnAdversary):
         self._rng = random.Random(seed)
         self._recent: list = []
 
-    def _scattered_pick(self, healer: Healer, alive: list) -> int:
+    def _scattered_pick(self, healer: Healer, alive: Sequence[int]) -> int:
         hot = region_ball(healer.graph(), self._recent, self.radius)
         cold = [x for x in alive if x not in hot]
         choice = self._rng.choice(cold if cold else alive)
@@ -285,7 +251,7 @@ class ScatterChurnAdversary(ChurnAdversary):
         return choice
 
     def next_event(self, healer: Healer) -> ChurnEvent:
-        alive = sorted(healer.alive)
+        alive = healer.alive_order
         if not alive:
             raise SimulationOverError("network is empty")
         if len(alive) <= 1 or self._rng.random() < self.p_insert:
@@ -370,20 +336,20 @@ class OverlapChurnAdversary(ChurnAdversary):
     def _anchors(self) -> list:
         return [a for group in self._recent for a in group]
 
-    def _overlapping_pick(self, healer: Healer, alive: list) -> int:
+    def _overlapping_pick(self, healer: Healer, alive: Sequence[int]) -> int:
         graph = healer.graph()
-        hot = sorted(region_ball(graph, self._anchors(), self.radius) & set(alive))
+        hot = sorted(region_ball(graph, self._anchors(), self.radius) & healer.alive)
         choice = self._rng.choice(hot if hot else alive)
         self._remember(choice, graph)
         return choice
 
-    def _uniform_pick(self, healer: Healer, alive: list) -> int:
+    def _uniform_pick(self, healer: Healer, alive: Sequence[int]) -> int:
         choice = self._rng.choice(alive)
         self._remember(choice, healer.graph())
         return choice
 
     def next_event(self, healer: Healer) -> ChurnEvent:
-        alive = sorted(healer.alive)
+        alive = healer.alive_order
         if not alive:
             raise SimulationOverError("network is empty")
         if len(alive) <= 1 or self._rng.random() < self.p_insert:
@@ -456,11 +422,11 @@ class HostileChurnAdversary(ChurnAdversary):
         if len(self._recent) > self.spread:
             self._recent.pop(0)
 
-    def _pick(self, healer: Healer, alive: list) -> int:
+    def _pick(self, healer: Healer, alive: Sequence[int]) -> int:
         graph = healer.graph()
         if self._rng.random() < self.p_hot and self._recent:
             anchors = [a for group in self._recent for a in group]
-            hot = sorted(region_ball(graph, anchors, self.radius) & set(alive))
+            hot = sorted(region_ball(graph, anchors, self.radius) & healer.alive)
             choice = self._rng.choice(hot if hot else alive)
         else:
             choice = self._rng.choice(alive)
@@ -468,7 +434,7 @@ class HostileChurnAdversary(ChurnAdversary):
         return choice
 
     def next_event(self, healer: Healer) -> ChurnEvent:
-        alive = sorted(healer.alive)
+        alive = healer.alive_order
         if not alive:
             raise SimulationOverError("network is empty")
         if len(alive) <= 1 or self._rng.random() < self.p_insert:
@@ -502,7 +468,7 @@ class GrowthThenMassacreAdversary(ChurnAdversary):
         self.growth = growth
         self.killer = killer if killer is not None else MaxDegreeAdversary()
         self.seed = seed
-        self.attach = attach
+        self.attach = _check_attach(attach)
         self._rng = random.Random(seed)
         self._joined = 0
 
@@ -534,14 +500,14 @@ class OscillatingChurnAdversary(ChurnAdversary):
             raise ValueError("period must be >= 1")
         self.period = period
         self.seed = seed
-        self.attach = attach
+        self.attach = _check_attach(attach)
         self._rng = random.Random(seed)
         self._tick = 0
 
     def next_event(self, healer: Healer) -> ChurnEvent:
         phase_join = (self._tick // self.period) % 2 == 0
         self._tick += 1
-        alive = sorted(healer.alive)
+        alive = healer.alive_order
         if not alive:
             raise SimulationOverError("network is empty")
         if phase_join or len(alive) <= 1:

@@ -28,12 +28,12 @@ class _LookaheadAdversary(Adversary):
         raise NotImplementedError
 
     def _candidates(self, healer: Healer) -> Iterable[int]:
-        alive = sorted(healer.alive)
+        alive = healer.alive_order
         if self.max_candidates and len(alive) > self.max_candidates:
             # Deterministic thinning: evenly spaced candidates.
             step = len(alive) / self.max_candidates
             return [alive[int(i * step)] for i in range(self.max_candidates)]
-        return alive
+        return list(alive)
 
     def choose(self, healer: Healer) -> int:
         best_victim: Optional[int] = None

@@ -20,7 +20,7 @@ class RandomAdversary(Adversary):
         self._rng = random.Random(seed)
 
     def choose(self, healer: Healer) -> int:
-        return self._rng.choice(sorted(healer.alive))
+        return self._rng.choice(healer.alive_order)
 
     def reset(self) -> None:
         self._rng = random.Random(self.seed)

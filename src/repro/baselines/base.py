@@ -14,11 +14,72 @@ can compare them head-to-head:
 from __future__ import annotations
 
 import abc
-from typing import Dict, Set
+from array import array
+from bisect import bisect_left
+from collections.abc import Sequence
+from itertools import compress
+from typing import Dict, Optional, Set
 
 from ..core.errors import DuplicateNodeError, NodeNotFoundError, SimulationOverError
 from ..core.events import HealReport, normalize_wave
 from ..graphs.adjacency import Graph, copy as copy_graph, degrees
+
+
+class AliveOrder(Sequence):
+    """The alive ids ascending: ``len`` O(1), ``[k]`` (k-th smallest) O(log n).
+
+    A Fenwick tree of live flags over every id seen since the build, ids
+    ascending in an ``array('q')`` (a bisect finds an id's position).
+    """
+
+    __slots__ = ("_ids", "_live", "_tree", "_n")
+
+    def __init__(self, alive):
+        self._ids = array("q", sorted(alive))
+        self._n = n = len(self._ids)
+        self._live = bytearray(b"\x01") * n
+        # 1-based and all live: node i counts the lowbit(i) ids it covers.
+        self._tree = array("q", (i & -i for i in range(n + 1)))
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):
+        return compress(self._ids, self._live)
+
+    def __getitem__(self, k: int) -> int:
+        k += self._n if k < 0 else 0
+        if not 0 <= k < self._n:
+            raise IndexError("alive_order index out of range")
+        tree, pos, step = self._tree, 0, 1 << (len(self._tree) - 1).bit_length()
+        while step := step >> 1:  # descend to the last prefix of <= k live
+            if pos + step < len(tree) and tree[pos + step] <= k:
+                pos += step
+                k -= tree[pos]
+        return self._ids[pos]
+
+    def discard(self, nid: int) -> None:
+        pos = bisect_left(self._ids, nid)
+        self._live[pos] = 0
+        self._n -= 1
+        while pos < len(self._tree) - 1:
+            self._tree[pos + 1] -= 1
+            pos |= pos + 1
+
+    def add(self, nid: int) -> bool:
+        """Append ``nid``; ``False`` if it is not above every id seen."""
+        if self._ids and nid <= self._ids[-1]:
+            return False
+        self._ids.append(nid)
+        self._live.append(1)
+        self._n += 1
+        i = len(self._ids)
+        count, j = 1, i - 1  # plus the live ids node i covers below i
+        while j > i - (i & -i):
+            count += self._tree[j]
+            j &= j - 1
+        self._tree.append(count)
+        return True
 
 
 class Healer(abc.ABC):
@@ -26,6 +87,9 @@ class Healer(abc.ABC):
 
     #: short machine name used in benchmark tables
     name: str = "abstract"
+    #: :attr:`alive_order`'s index, built on first read (a class default,
+    #: so ``from_engine`` healers, made without ``__init__``, start unbuilt)
+    _order: Optional[AliveOrder] = None
 
     def __init__(self, graph: Graph):
         self._initial = copy_graph(graph)
@@ -87,6 +151,22 @@ class Healer(abc.ABC):
     def alive(self) -> Set[int]:
         """Surviving node ids."""
 
+    @property
+    def alive_order(self) -> AliveOrder:
+        """:attr:`alive` ascending: ``rng.choice(healer.alive_order)`` draws
+        exactly what ``rng.choice(sorted(healer.alive))`` draws, in O(log n)."""
+        if self._order is None:
+            self._order = AliveOrder(self.alive)
+        return self._order
+
+    def _joined(self, nid: int, attach_to: int) -> None:
+        """Book a landed join: baseline degrees (see :meth:`insert`) and
+        the :attr:`alive_order` index."""
+        self._original_degree[nid] = 1
+        self._original_degree[attach_to] += 1
+        if self._order is not None and not self._order.add(nid):
+            self._order = None  # below the largest id seen: rebuild on read
+
     # -- shared metrics ---------------------------------------------------
     @property
     def initial_graph(self) -> Graph:
@@ -120,6 +200,8 @@ class Healer(abc.ABC):
             raise SimulationOverError("all nodes already deleted")
         if nid not in self.alive:
             raise NodeNotFoundError(nid, "delete")
+        if self._order is not None:
+            self._order.discard(nid)
         self.rounds += 1
 
     def _pre_insert(self, nid: int, attach_to: int) -> None:

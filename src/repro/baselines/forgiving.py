@@ -22,7 +22,6 @@ streams, so the choice never changes results — only constant factors.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Optional, Set, Tuple
 
 from ..core.events import HealReport, edge_key
@@ -120,8 +119,7 @@ class ForgivingTreeHealer(Healer):
         nid = int(nid)
         self._pre_insert(nid, attach_to)
         report = self.engine.insert(nid, attach_to)
-        self._original_degree[nid] = 1
-        self._original_degree[attach_to] += 1
+        self._joined(nid, attach_to)
         return report
 
     def insert_batch(self, joiners) -> HealReport:
@@ -129,8 +127,7 @@ class ForgivingTreeHealer(Healer):
         wave = [(int(n), int(a)) for n, a in joiners]
         report = self.engine.insert_batch(wave)  # validates the wave itself
         for nid, attach_to in wave:
-            self._original_degree[nid] = 1
-            self._original_degree[attach_to] += 1
+            self._joined(nid, attach_to)
         self.rounds += 1
         return report
 
@@ -169,16 +166,3 @@ class ForgivingTreeHealer(Healer):
         ``metrics="none"`` path uses this instead of a per-round BFS.
         """
         return True, len(self.engine.alive)
-
-    def sample_alive(self, rng: random.Random) -> int:
-        """Uniform surviving node id; O(1) on the flat core.
-
-        Capability hook for opt-in fast adversary sampling
-        (``RandomChurnAdversary(fast_sample=True)``).  The object core
-        falls back to a sorted draw with the same distribution (but a
-        different stream than the adversary's classic path).
-        """
-        sampler = getattr(self.engine, "sample_alive", None)
-        if sampler is not None:
-            return sampler(rng)
-        return rng.choice(sorted(self.engine.alive))

@@ -66,8 +66,7 @@ class _GraphHealer(Healer):
         nid = int(nid)
         self._pre_insert(nid, attach_to)
         add_edge(self._graph, nid, attach_to)
-        self._original_degree[nid] = 1
-        self._original_degree[attach_to] += 1
+        self._joined(nid, attach_to)
         return HealReport(
             deleted=-1,
             edges_added=frozenset({edge_key(nid, attach_to)}),

@@ -165,12 +165,11 @@ class TraceGenerator:
         self.emitted = 0
         self._next_id = cfg.n0
         # Alive set as swap-pop list + index map: O(1) insert, remove,
-        # and uniform sample — the same layout the flat engine uses.
-        # At n = 100k+, sorting the alive set per join would dominate
-        # the whole soak.
-        self._alive_list: List[int] = list(range(cfg.n0))
-        self._alive_idx: Dict[int, int] = {
-            nid: i for i, nid in enumerate(self._alive_list)
+        # and uniform sample.  At n = 100k+, sorting the alive set per
+        # join would dominate the whole soak.
+        self._members: List[int] = list(range(cfg.n0))
+        self._member_idx: Dict[int, int] = {
+            nid: i for i, nid in enumerate(self._members)
         }
         self._deaths: List[Tuple[float, int]] = []
         self._pending: deque = deque()  # queued act steps, FIFO
@@ -184,21 +183,21 @@ class TraceGenerator:
     # -- alive-set bookkeeping --------------------------------------------
     @property
     def alive_count(self) -> int:
-        return len(self._alive_list)
+        return len(self._members)
 
     def _is_alive(self, nid: int) -> bool:
-        return nid in self._alive_idx
+        return nid in self._member_idx
 
     def _add_alive(self, nid: int) -> None:
-        self._alive_idx[nid] = len(self._alive_list)
-        self._alive_list.append(nid)
+        self._member_idx[nid] = len(self._members)
+        self._members.append(nid)
 
     def _remove_alive(self, nid: int) -> None:
-        i = self._alive_idx.pop(nid)
-        last = self._alive_list.pop()
+        i = self._member_idx.pop(nid)
+        last = self._members.pop()
         if last != nid:
-            self._alive_list[i] = last
-            self._alive_idx[last] = i
+            self._members[i] = last
+            self._member_idx[last] = i
 
     # -- construction ------------------------------------------------------
     def _build_tree(self) -> Graph:
@@ -243,7 +242,7 @@ class TraceGenerator:
         return nid
 
     def _attach_point(self) -> int:
-        return self._alive_list[self._rng.randrange(len(self._alive_list))]
+        return self._members[self._rng.randrange(len(self._members))]
 
     def _join(self) -> Insert:
         attach = self._attach_point()
@@ -256,7 +255,7 @@ class TraceGenerator:
         while self._acts and self._acts[0].at_event <= self.emitted:
             act = self._acts.pop(0)
             if isinstance(act, Outage):
-                alive = sorted(self._alive_list)
+                alive = sorted(self._members)
                 k = min(
                     int(len(alive) * act.fraction),
                     len(alive) - self.config.min_alive,
@@ -315,7 +314,7 @@ class TraceGenerator:
         next_death = self._deaths[0][0] if self._deaths else math.inf
         if (
             next_death <= self.t + gap
-            and len(self._alive_list) > self.config.min_alive
+            and len(self._members) > self.config.min_alive
         ):
             when, nid = heapq.heappop(self._deaths)
             self.t = max(self.t, when)

@@ -45,8 +45,8 @@ Three contracts make the flat layer a drop-in replacement:
 * **hot queries are O(1)**: ``alive`` is a :class:`AliveView` (a live
   ``collections.abc.Set`` over the id map — no per-event set copy),
   ``max_degree_increase`` reads a maintained degree-increase multiset,
-  uniform victim sampling indexes a compact alive list, and per-node image
-  degree is a maintained counter instead of an O(m) edge scan.
+  and per-node image degree is a maintained counter instead of an O(m)
+  edge scan.  (Seeded victim sampling is the healer's ``alive_order``.)
 """
 
 from __future__ import annotations
@@ -174,10 +174,6 @@ class FlatCore:
         self._inc_max = 0
         self._inc_dirty = False
 
-        # Compact alive list for O(1) uniform sampling (swap-pop removal).
-        self._alive_list: List[int] = []
-        self._alive_idx: Dict[int, int] = {}
-
     # ------------------------------------------------------------------
     # arena management
     # ------------------------------------------------------------------
@@ -278,12 +274,6 @@ class FlatCore:
             out.append(c)
             c = nxt[c]
         return out
-
-    def sample_alive(self, rng) -> int:
-        """Uniform surviving node in O(1) (the ladder's victim picker)."""
-        if not self._alive_list:
-            raise EmptyStructureError("sample from an empty network")
-        return self._alive_list[rng.randrange(len(self._alive_list))]
 
     # ------------------------------------------------------------------
     # image graph
@@ -409,8 +399,6 @@ class FlatCore:
         self.inc[slot] = -original_degree
         self._reals[nid] = slot
         self._inc_enter(-original_degree)
-        self._alive_idx[nid] = len(self._alive_list)
-        self._alive_list.append(nid)
         return slot
 
     def new_helper(self, sim: int) -> int:
@@ -586,11 +574,6 @@ class FlatCore:
         nid = self.ident[slot]
         del self._reals[nid]
         self._inc_leave(self.inc[slot])
-        idx = self._alive_idx.pop(nid)
-        last = self._alive_list.pop()
-        if last != nid:
-            self._alive_list[idx] = last
-            self._alive_idx[last] = idx
         self._release(slot)
 
     # ------------------------------------------------------------------
@@ -695,11 +678,6 @@ class FlatCore:
             raise InvariantViolationError("flat-inc-multiset", "multiset diverged")
         if inc_recount and self.max_degree_increase() != max(inc_recount):
             raise InvariantViolationError("flat-inc-max", "stale maximum")
-        if sorted(self._alive_list) != sorted(self._reals):
-            raise InvariantViolationError("flat-alive-list", "alive list diverged")
-        for nid, idx in self._alive_idx.items():
-            if self._alive_list[idx] != nid:
-                raise InvariantViolationError("flat-alive-idx", str(nid))
         used = set(self._reals.values()) | set(self._helpers.values())
         spare = set(self._free) | set(self._limbo)
         if used & spare:
@@ -741,7 +719,6 @@ class FlatCore:
         arrays["limbo"] = array("q", self._limbo)
         arrays["inc_k"] = array("q", self._inc_count.keys())
         arrays["inc_v"] = array("q", self._inc_count.values())
-        arrays["alive"] = array("q", self._alive_list)
         meta = {
             "root": self._root,
             "hid_counter": self._hid_counter,
@@ -767,8 +744,6 @@ class FlatCore:
         self._free = list(arrays["free"])
         self._limbo = list(arrays["limbo"])
         self._inc_count = dict(zip(arrays["inc_k"], arrays["inc_v"]))
-        self._alive_list = list(arrays["alive"])
-        self._alive_idx = {nid: i for i, nid in enumerate(self._alive_list)}
         self._root = int(meta["root"])
         self._hid_counter = int(meta["hid_counter"])
         self._inc_max = int(meta["inc_max"])

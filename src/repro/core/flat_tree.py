@@ -14,7 +14,6 @@ What the flat layout buys (the BENCH_churn ladder's flat per-event cost):
 * ``alive`` is a zero-copy set view — no O(n) copy per round;
 * ``max_degree_increase`` reads a maintained multiset — no O(n·m) scan;
 * ``degree`` is a maintained counter — no O(m) edge scan;
-* victim/attachment sampling is O(1) via :meth:`sample_alive`;
 * nodes are array rows, so n = 10^6 fits in a few flat arrays instead of
   millions of Python objects — see :meth:`from_parents` for O(n) bulk
   construction without an adjacency dict.
@@ -371,10 +370,6 @@ class FlatForgivingTree:
     def max_degree_increase(self) -> int:
         """``max_v degree(v, G_t) - degree(v, G_0)`` over survivors — O(1)."""
         return self._c.max_degree_increase()
-
-    def sample_alive(self, rng) -> int:
-        """Uniform surviving node id in O(1) (ladder-scale victim picks)."""
-        return self._c.sample_alive(rng)
 
     def state_of(self, nid: int) -> NodeState:
         """Wait/Ready/Deployed snapshot for ``nid`` (Figure 3)."""

@@ -36,8 +36,7 @@ class ForgivingGraphHealer(Healer):
         nid = int(nid)
         self._pre_insert(nid, attach_to)
         report = self.engine.insert(nid, attach_to)
-        self._original_degree[nid] = 1
-        self._original_degree[attach_to] += 1
+        self._joined(nid, attach_to)
         return report
 
     def insert_batch(self, joiners) -> HealReport:
@@ -45,8 +44,7 @@ class ForgivingGraphHealer(Healer):
         wave = [(int(n), int(a)) for n, a in joiners]
         report = self.engine.insert_batch(wave)  # validates the wave itself
         for nid, attach_to in wave:
-            self._original_degree[nid] = 1
-            self._original_degree[attach_to] += 1
+            self._joined(nid, attach_to)
         self.rounds += 1
         return report
 

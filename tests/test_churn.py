@@ -293,6 +293,21 @@ class TestChurnAdversaries:
         with pytest.raises(SimulationOverError):
             adv.next_event(healer)
 
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            RandomChurnAdversary,
+            WaveChurnAdversary,
+            OscillatingChurnAdversary,
+            GrowthThenMassacreAdversary,
+        ],
+    )
+    def test_unknown_attach_preference_rejected_at_construction(self, cls):
+        with pytest.raises(ValueError, match="attachment preference"):
+            cls(attach="hubb")
+        for attach in ("random", "hub", "leaf"):
+            assert cls(attach=attach).attach == attach
+
 
 class TestChurnTraces:
     def test_round_trip_through_lines(self):

@@ -11,7 +11,7 @@ both engines with the same drawn events and asserts that contract.
 
 Also covered: the free-list id recycling that keeps the arena bounded,
 ``from_parents`` O(n) construction, the healer's ``core=`` knob and fast
-paths (``fast_stats`` / ``sample_alive``), the harness's streaming
+path (``fast_stats``), the harness's streaming
 ``keep_rounds=False`` mode, and the benchmark table's numeric coercion.
 """
 
@@ -285,16 +285,6 @@ class TestAliveView:
         assert 3 not in view  # live view, not a snapshot
         assert len(view) == 8
 
-    def test_sample_alive_is_uniform_and_seeded(self):
-        tree = generators.random_tree(50, seed=2)
-        flat = FlatForgivingTree(tree)
-        draws = [flat.sample_alive(random.Random(7)) for _ in range(5)]
-        assert len(set(draws)) == 1  # same seed, same draw
-        rng = random.Random(0)
-        samples = {flat.sample_alive(rng) for _ in range(400)}
-        assert samples <= set(flat.alive)
-        assert len(samples) > 25  # actually spreads over the alive set
-
 
 class TestFromParents:
     def _parents_of(self, tree, root=0):
@@ -421,20 +411,12 @@ class TestHealerCoreKnob:
             assert connected is is_connected(graph)
             assert alive == len(graph) == len(healer.alive)
 
-    def test_healer_sample_alive_draws_members(self):
-        tree = generators.random_tree(20, seed=14)
-        healer = ForgivingTreeHealer({k: set(v) for k, v in tree.items()})
-        rng = random.Random(14)
-        assert all(healer.sample_alive(rng) in healer.alive
-                   for _ in range(50))
-
 
 class TestHarnessStreaming:
-    def _campaign(self, keep_rounds, fast_sample=True):
+    def _campaign(self, keep_rounds):
         tree = generators.random_tree(120, seed=21)
         healer = ForgivingTreeHealer({k: set(v) for k, v in tree.items()})
-        adversary = RandomChurnAdversary(p_insert=0.5, seed=21,
-                                         fast_sample=fast_sample)
+        adversary = RandomChurnAdversary(p_insert=0.5, seed=21)
         return run_churn_campaign(healer, adversary, events=80,
                                   metrics="auto", keep_rounds=keep_rounds)
 
@@ -446,17 +428,6 @@ class TestHarnessStreaming:
                      "stayed_connected", "peak_messages_per_node",
                      "n_inserts", "n_deletes", "final_alive"):
             assert getattr(streamed, prop) == getattr(kept, prop), prop
-
-    def test_fast_sample_stream_matches_classic_distribution_shape(self):
-        # fast_sample draws from the same alive set with the same seed
-        # discipline; it is a different (still uniform) stream, so only
-        # structural outcomes are compared, not the event sequence.
-        classic = self._campaign(True, fast_sample=False)
-        fast = self._campaign(True, fast_sample=True)
-        for result in (classic, fast):
-            assert result.stayed_connected
-            assert result.peak_degree_increase <= 3
-            assert result.n_inserts + result.n_deletes == 80
 
     def test_metrics_none_with_fast_stats_skips_nothing_observable(self):
         tree = generators.random_tree(60, seed=22)
