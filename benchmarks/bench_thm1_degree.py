@@ -33,7 +33,7 @@ def run_sweep():
         tree = generators.TREE_FAMILIES[family](N, 7)
         for adv_name, make_adv in ADVERSARIES.items():
             healer = ForgivingTreeHealer({k: set(v) for k, v in tree.items()})
-            result = run_campaign(healer, make_adv(), measure_diameter=False)
+            result = run_campaign(healer, make_adv(), metrics="none")
             rows.append(
                 [
                     family,
@@ -57,7 +57,7 @@ def test_thm1_degree_bound(benchmark, capsys):
         SurrogateHealer({k: set(v) for k, v in tree.items()}),
         SurrogateKillerAdversary(),
         rounds=N // 2,
-        measure_diameter=False,
+        metrics="none",
     )
     dump_bench(
         "thm1_degree",

@@ -28,7 +28,7 @@ def run_sweep():
         worst = 0
         for adv in (CenterAdversary(), MaxDegreeAdversary()):
             healer = ForgivingTreeHealer({k: set(v) for k, v in tree.items()})
-            result = run_campaign(healer, adv, measure_diameter=True)
+            result = run_campaign(healer, adv)
             worst = max(worst, result.peak_diameter)
             assert result.stayed_connected
         rows.append(

@@ -38,7 +38,7 @@ class MaxDegreeAdversary(Adversary):
 
     def choose(self, healer: Healer) -> int:
         graph = healer.graph()
-        return max(sorted(graph), key=lambda n: len(graph[n]))
+        return max(graph, key=lambda n: (len(graph[n]), -n))
 
 
 class MinDegreeAdversary(Adversary):
@@ -52,7 +52,7 @@ class MinDegreeAdversary(Adversary):
 
     def choose(self, healer: Healer) -> int:
         graph = healer.graph()
-        return min(sorted(graph), key=lambda n: len(graph[n]))
+        return min(graph, key=lambda n: (len(graph[n]), n))
 
 
 class CenterAdversary(Adversary):

@@ -7,40 +7,33 @@ the Forgiving Tree over a BFS spanning tree and keeps the surviving
 *non-tree* edges of the original graph in the overlay (they can only help
 the diameter and never hurt the degree bound, since they existed in G_0).
 
-Two interchangeable cores drive the same protocol (``core=``):
-
-* ``"flat"`` (default) — :class:`~repro.core.flat_tree.FlatForgivingTree`,
-  struct-of-arrays storage with O(1) hot queries; what churn campaigns at
-  n = 10k..1M run on.
-* ``"object"`` — :class:`~repro.core.forgiving_tree.ForgivingTree`, the
-  readable per-node object reference the flat core is differentially
-  tested against (``tests/test_flatcore.py``).
-
-The two produce bit-identical :class:`~repro.core.events.HealReport`
-streams, so the choice never changes results — only constant factors.
+The healer runs the flat core,
+:class:`~repro.core.flat_tree.FlatForgivingTree` — struct-of-arrays
+storage with O(1) hot queries, what churn campaigns at n = 10k..1M run
+on.  :meth:`ForgivingTreeHealer.from_engine` wraps any engine instead,
+e.g. the readable per-node object reference
+:class:`~repro.core.forgiving_tree.ForgivingTree` that the flat core is
+differentially tested against; the two produce bit-identical
+:class:`~repro.core.events.HealReport` streams.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
-from ..core.events import HealReport, edge_key
+from ..core.events import HealReport
 from ..core.flat_tree import FlatForgivingTree
-from ..core.forgiving_tree import WILL_SPLICE, ForgivingTree
+from ..core.forgiving_tree import WILL_SPLICE
 from ..graphs.adjacency import Graph, require_connected
 from ..graphs.spanning import bfs_tree, non_tree_edges
 from .base import Healer
-
-#: ``core=`` choices: engine class per storage layout.
-ENGINE_CORES = {"flat": FlatForgivingTree, "object": ForgivingTree}
 
 
 class ForgivingTreeHealer(Healer):
     """Forgiving Tree self-healing over a general connected graph.
 
     Parameters mirror :class:`~repro.core.forgiving_tree.ForgivingTree`;
-    ``root`` selects the spanning-tree root (default: smallest id);
-    ``core`` selects the storage layout (see module docstring).
+    ``root`` selects the spanning-tree root (default: smallest id).
     """
 
     name = "forgiving-tree"
@@ -52,15 +45,11 @@ class ForgivingTreeHealer(Healer):
         branching: int = 2,
         will_mode: str = WILL_SPLICE,
         strict: bool = False,
-        core: str = "flat",
     ):
         super().__init__(graph)
         require_connected(graph)
-        if core not in ENGINE_CORES:
-            raise ValueError(f"unknown core {core!r} (one of {sorted(ENGINE_CORES)})")
         tree = bfs_tree(graph, root)
-        self.core = core
-        self.engine = ENGINE_CORES[core](
+        self.engine = FlatForgivingTree(
             tree,
             root=root,
             branching=branching,
@@ -85,22 +74,23 @@ class ForgivingTreeHealer(Healer):
         (or a bulk ``from_parents`` build) becomes a catalog healer
         without re-running the BFS spanning-tree construction.  The
         healer's baseline degrees and round counter come from the engine
-        (they survive checkpoints there); ``initial_graph`` reflects the
-        overlay at wrap time, which for a resumed campaign is the
-        restore point, so stretch denominators must be carried by the
-        caller (the soak manifest does).
+        (they survive checkpoints there), each ``extras`` edge adding one
+        to both endpoints' baseline, as it does for a constructed healer
+        over the same graph; ``initial_graph`` reflects the overlay at
+        wrap time, which for a resumed campaign is the restore point, so
+        stretch denominators must be carried by the caller (the soak
+        manifest does).
         """
         self = cls.__new__(cls)
         adjacency = engine.adjacency()
+        self._original_degree = dict(engine.original_degree)
         for u, v in extras:
             adjacency.setdefault(u, set()).add(v)
             adjacency.setdefault(v, set()).add(u)
+            self._original_degree[u] += 1
+            self._original_degree[v] += 1
         self._initial = adjacency
-        self._original_degree = dict(engine.original_degree)
         self.rounds = engine.rounds
-        self.core = (
-            "flat" if isinstance(engine, FlatForgivingTree) else "object"
-        )
         self.engine = engine
         self._extra = set(extras)
         self._pure_tree = not self._extra

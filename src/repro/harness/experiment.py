@@ -1,12 +1,16 @@
 """Attack/heal campaign loop and time-series collection.
 
-A *campaign* plays the Delete and Repair game: an adversary picks victims,
-a healer repairs, and we record the paper's success metrics each round
-(Model 2.1): max degree increase, diameter (and stretch), connectivity, and
-communication.  :func:`run_churn_campaign` plays the extended churn game
-(the Forgiving Graph model): the adversary emits a mixed insert/delete
-stream and the per-round records additionally track alive-set growth.
-Campaigns power every benchmark table.
+A *campaign* plays the churn game of the Forgiving Graph model: each
+round an adversary emits an insertion, a batch join wave or a deletion
+after seeing the healed graph, the healer applies it, and we record the
+paper's success metrics (Model 2.1): max degree increase, diameter (and
+stretch), connectivity, communication and alive-set growth.
+:func:`run_churn_campaign` is the one loop.  The paper's Delete and
+Repair game is that game with deletions only: :func:`run_campaign` lifts
+a deletion :class:`~repro.adversaries.Adversary` into a churn stream and
+runs it through the same loop.  ``metrics=`` is the one switch for the
+per-round diameter measurement (:data:`METRICS_MODES`).  Campaigns power
+every benchmark table.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..adversaries.base import Adversary
-from ..adversaries.churn import ChurnAdversary
+from ..adversaries.churn import ChurnAdversary, DeletionOnlyChurnAdversary
 from ..audit.certify import AuditInputs, AuditReport
 from ..audit.schema import HealDelta, normalize_edges
 from ..baselines.base import Healer
@@ -178,10 +182,10 @@ class _DiameterMeter:
 class CampaignResult:
     """Everything a benchmark needs from one campaign.
 
-    Campaigns run with ``keep_rounds=False`` stream every record through
-    :meth:`fold` instead of storing it, so the aggregate properties stay
-    O(1) in memory at ladder scale (n = 1M sustained churn) while
-    reporting exactly what the kept-rounds path would; only
+    Every record is folded into O(1) aggregates as it lands
+    (:meth:`fold`), and the peak/count properties read only those, so a
+    campaign run with ``keep_rounds=False`` — which does not store the
+    records — reports exactly what a kept-rounds run does; only
     :attr:`rounds` itself (and :meth:`series`) are then empty.
     """
 
@@ -203,9 +207,10 @@ class CampaignResult:
     #: The telemetry bundle the certificates ran over (kept for
     #: re-certification, e.g. the mutation self-test).
     audit_inputs: Optional[AuditInputs] = field(default=None, repr=False)
-    # Streaming aggregates (folded per round; authoritative when the
-    # records themselves are not kept).
-    _peak_ddeg: int = field(default=0, repr=False)
+    # Streaming aggregates, folded per round.  The peak degree increase
+    # starts unset: a no-repair baseline can shrink every degree, and
+    # its peak is then negative.
+    _peak_ddeg: Optional[int] = field(default=None, repr=False)
     _peak_diameter: int = field(default=0, repr=False)
     _peak_msgs: int = field(default=0, repr=False)
     _all_connected: bool = field(default=True, repr=False)
@@ -215,7 +220,7 @@ class CampaignResult:
 
     def fold(self, record: RoundRecord) -> None:
         """Fold one round into the streaming aggregates (O(1) memory)."""
-        if record.max_degree_increase > self._peak_ddeg:
+        if self._peak_ddeg is None or record.max_degree_increase > self._peak_ddeg:
             self._peak_ddeg = record.max_degree_increase
         if record.diameter is not None and record.diameter > self._peak_diameter:
             self._peak_diameter = record.diameter
@@ -230,16 +235,10 @@ class CampaignResult:
 
     @property
     def peak_degree_increase(self) -> int:
-        if self.rounds:
-            return max(r.max_degree_increase for r in self.rounds)
-        return self._peak_ddeg
+        return self._peak_ddeg if self._peak_ddeg is not None else 0
 
     @property
     def peak_diameter(self) -> int:
-        if self.rounds:
-            return max(
-                (r.diameter for r in self.rounds if r.diameter is not None), default=0
-            )
         return self._peak_diameter
 
     @property
@@ -250,33 +249,23 @@ class CampaignResult:
 
     @property
     def stayed_connected(self) -> bool:
-        if self.rounds:
-            return all(r.connected for r in self.rounds)
         return self._all_connected
 
     @property
     def peak_messages_per_node(self) -> int:
-        if self.rounds:
-            return max(r.max_messages_per_node for r in self.rounds)
         return self._peak_msgs
 
     # -- churn-campaign views ---------------------------------------------
     @property
     def n_inserts(self) -> int:
-        if self.rounds:
-            return sum(1 for r in self.rounds if r.event == "insert")
         return self._n_inserts
 
     @property
     def n_deletes(self) -> int:
-        if self.rounds:
-            return sum(1 for r in self.rounds if r.event == "delete")
         return self._n_deletes
 
     @property
     def final_alive(self) -> int:
-        if self.rounds:
-            return self.rounds[-1].alive
         return self._last_alive if self._last_alive is not None else self.n0
 
     @property
@@ -295,20 +284,6 @@ class CampaignResult:
         Empty under ``keep_rounds=False`` — streaming campaigns trade the
         per-round series for O(1) memory."""
         return [getattr(r, attr) for r in self.rounds]
-
-
-def _resolve_metrics(
-    metrics: Optional[str],
-    measure_diameter: bool,
-    exact_diameter: bool,
-    default: str = "double-sweep",
-) -> str:
-    """Back-compat resolution of the legacy flags into a metrics mode."""
-    if metrics is not None:
-        return metrics
-    if not measure_diameter:
-        return "none"
-    return "exact" if exact_diameter else default
 
 
 def _initial_diameter(meter: _DiameterMeter, initial: Graph) -> int:
@@ -336,7 +311,7 @@ def _record_round(
     meter: _DiameterMeter,
     d0: int,
 ) -> RoundRecord:
-    """The per-event measurement + bookkeeping shared by both runners."""
+    """One round's measurement and bookkeeping."""
     connected, diameter, alive = meter.measure(
         report, healer.graph, fast_stats=getattr(healer, "fast_stats", None)
     )
@@ -398,68 +373,24 @@ def _make_mirror(
     return TransportMirror(healer, spec, obs=obs_state)
 
 
-def _recover_crash(
-    mirror: TransportMirror,
-    healer: Healer,
-    obs_state: Optional[ObsState],
-    meter: "_DiameterMeter",
-    d0: int,
-    t: int,
-    result: CampaignResult,
-    keep_rounds: bool,
-    on_round: Optional[Callable[[RoundRecord, Healer], None]],
-    audit_deltas: Optional[List[HealDelta]] = None,
-) -> None:
-    """A planned crash fired in the transport mirror.
-
-    The victim is dead in the distributed runtime but still alive in the
-    oracle: apply the death to the oracle as an extra, adversary-
-    invisible deletion, hand the resulting report to the mirror's repair
-    pass (reset-replay + node-for-node re-validation), and record the
-    round as ``event="crash"`` so the incremental metrics tracker stays
-    in step with the oracle overlay.
-    """
-    report = _oracle_step(
-        obs_state, "oracle:delete", healer.delete, mirror.pending_crash
-    )
-    mirror.recover_from_crash(report)
-    if audit_deltas is not None:
-        audit_deltas.append(HealDelta.from_report(report))
-    record = _record_round(t, report, healer, meter, d0)
-    record.event = "crash"
-    result.fold(record)
-    if keep_rounds:
-        result.rounds.append(record)
-    if obs_state is not None and obs_state.metrics is not None:
-        _stream_round(obs_state.metrics, record)
-    if on_round is not None:
-        on_round(record, healer)
-
-
 def _make_obs(obs: ObsInput, transport: TransportInput) -> Optional[ObsState]:
     """Resolve the ``obs=`` knob into live instruments (or None).
 
-    Tracing rides the async kernel's virtual clock, so ``obs="trace"``
-    (or a spec with ``trace=True``) requires an async transport mirror —
-    without one there is nothing to trace and the knob raises rather
-    than silently producing an empty file.
+    Tracing rides the async kernel's virtual clock and auditing reads
+    its event log, so ``obs="trace"``/``"audit"`` (or a spec with
+    ``trace=True``/``audit=True``) require an async transport mirror —
+    without one there is nothing to trace or audit and the knob raises
+    rather than silently producing an empty file.
     """
     spec = resolve_obs(obs)
     if spec is None:
         return None
-    if spec.trace:
+    if spec.trace or spec.audit:
         tspec = resolve_transport(transport)
         if tspec is None or tspec.mode != "async":
             raise ValueError(
-                "obs tracing needs an async transport "
-                "(transport='async' or 'lease')"
-            )
-    if spec.audit:
-        tspec = resolve_transport(transport)
-        if tspec is None or tspec.mode != "async":
-            raise ValueError(
-                "obs auditing needs an async transport "
-                "(transport='async' or 'lease')"
+                f"obs {'tracing' if spec.trace else 'auditing'} needs an "
+                "async transport (transport='async' or 'lease')"
             )
     return ObsState(spec)
 
@@ -533,41 +464,44 @@ def _run_audit(
         recorder.dump(path, label="audit")
 
 
-def run_campaign(
+def run_churn_campaign(
     healer: Healer,
-    adversary: Adversary,
-    rounds: Optional[int] = None,
-    measure_diameter: bool = True,
-    exact_diameter: bool = False,
-    stop_fraction: float = 0.0,
+    adversary: ChurnAdversary,
+    events: int,
     on_round: Optional[Callable[[RoundRecord, Healer], None]] = None,
-    metrics: Optional[str] = None,
+    metrics: str = "auto",
     seed: int = 0,
     transport: TransportInput = None,
     obs: ObsInput = None,
     keep_rounds: bool = True,
+    metrics_tracker: Optional[DynamicTreeMetrics] = None,
     faults: FaultInput = None,
 ) -> CampaignResult:
-    """Play the Delete and Repair game.
+    """Play the churn game: a mixed insert/delete stream against one healer.
+
+    Each round the adversary emits an :class:`~repro.churn.Insert`, an
+    :class:`~repro.churn.InsertWave` (batch join, applied through
+    :meth:`~repro.baselines.base.Healer.insert_batch`), or a
+    :class:`~repro.churn.Delete` after seeing the healed graph; the healer
+    applies it; the record tracks the usual success metrics plus alive-set
+    growth and per-round stretch.  Stops early when the adversary runs out
+    of events (:class:`SimulationOverError`) or the network empties.
 
     Parameters
     ----------
-    rounds:
-        Number of deletions (default: until one node remains).
-    measure_diameter:
-        Compute the diameter each round (double sweep unless
-        ``exact_diameter`` — exact on trees either way).  Legacy flags;
-        ``metrics`` overrides both when given.
-    stop_fraction:
-        Stop once fewer than this fraction of nodes survive.
+    events:
+        Event budget: at most this many adversary events are played.
     on_round:
         Optional observer called after each round.
     metrics:
-        One of :data:`METRICS_MODES`.  The deletion game keeps its
-        historical default (the double sweep — a lower bracket on cyclic
-        healed overlays, exact on trees); pass ``"auto"`` or
-        ``"incremental"`` to opt into O(depth)-per-round maintenance
-        (churn campaigns default to it, see :func:`run_churn_campaign`).
+        One of :data:`METRICS_MODES`, the one switch for the per-round
+        diameter measurement.  Churn campaigns default to ``"auto"``:
+        the diameter is maintained incrementally in O(depth) per round —
+        exact on tree overlays, the tree-overlay upper bracket when heals
+        keep chords — which is cheap enough that per-round
+        diameter/stretch stays on by default at n = 10k+.  Campaigns over
+        non-tree inputs (or that disconnect) fall back to the BFS double
+        sweep.  ``"none"`` measures no diameter at all.
     seed:
         Campaign seed threaded into the double sweep's start-node choice,
         making repeated runs reproducible end to end.
@@ -589,14 +523,24 @@ def run_campaign(
         One of :data:`~repro.obs.OBS_MODES` or an
         :class:`~repro.obs.ObsSpec` — attaches the observability stack
         (streaming metrics, causal tracing over the async kernel,
-        per-phase profiling, a flight recorder) and lands its summary
-        in :attr:`CampaignResult.obs`.  ``"trace"``/``"full"`` require
-        an async ``transport``.  Default: off (every hook is a no-op).
+        per-phase profiling, a flight recorder, the guarantee auditor)
+        and lands its summary in :attr:`CampaignResult.obs`.
+        ``"trace"``/``"audit"``/``"full"`` require an async
+        ``transport``.  Default: off (every hook is a no-op).
     keep_rounds:
-        When ``False``, per-round records are folded into the result's
-        streaming aggregates instead of being stored — O(1) memory for
-        million-event campaigns; ``rounds``/``series()`` are then empty
-        but every peak/count property reports the same values.
+        When ``False``, per-round records are only folded into the
+        result's streaming aggregates, not stored — O(1) memory for
+        million-event campaigns (the n = 10k..1M sustained-churn ladder
+        runs this way); ``rounds``/``series()`` are then empty but every
+        peak/count property reports the same values.
+    metrics_tracker:
+        A pre-built :class:`~repro.graphs.incremental.DynamicTreeMetrics`
+        used instead of constructing one from the healer's graph — the
+        checkpoint-resume path, where the restored overlay may already
+        carry heal chords that the fresh-start tree gate would reject.
+        The caller owns making the tracker match the healer's overlay
+        (the soak service rebuilds it from the snapshot's
+        ``parent_state``).
     faults:
         A :class:`~repro.faults.FaultPlan` (or kwargs mapping) turning
         the mirrored network hostile: seeded message loss absorbed by
@@ -610,157 +554,7 @@ def run_campaign(
     """
     initial = healer.graph()
     n0 = len(initial)
-    meter = _DiameterMeter(
-        _resolve_metrics(metrics, measure_diameter, exact_diameter), initial, seed
-    )
-    d0 = _initial_diameter(meter, initial)
-    result = CampaignResult(
-        healer_name=healer.name,
-        adversary_name=adversary.name,
-        n0=n0,
-        initial_diameter=d0,
-        initial_max_degree=max_degree(initial),
-    )
-    obs_state = _make_obs(obs, transport)
-    mirror = _make_mirror(healer, transport, seed, obs_state, faults)
-    auditing = mirror is not None and obs_state is not None and obs_state.spec.audit
-    audit_deltas: Optional[List[HealDelta]] = [] if auditing else None
-    audit_initial = normalize_edges(initial) if auditing else frozenset()
-    adversary.reset()
-    budget = rounds if rounds is not None else n0 - 1
-    for t in range(budget):
-        if len(healer.alive) <= max(1, int(stop_fraction * n0)):
-            break
-        try:
-            victim = adversary.choose(healer)
-            report = _oracle_step(obs_state, "oracle:delete", healer.delete, victim)
-        except SimulationOverError:
-            break
-        if mirror is not None:
-            mirror.apply(report)
-        if audit_deltas is not None:
-            audit_deltas.append(HealDelta.from_report(report))
-        record = _record_round(t, report, healer, meter, d0)
-        result.fold(record)
-        if keep_rounds:
-            result.rounds.append(record)
-        if obs_state is not None and obs_state.metrics is not None:
-            _stream_round(obs_state.metrics, record)
-        if on_round is not None:
-            on_round(record, healer)
-        if mirror is not None and mirror.pending_crash is not None:
-            _recover_crash(
-                mirror, healer, obs_state, meter, d0, t, result,
-                keep_rounds, on_round, audit_deltas,
-            )
-    if mirror is not None:
-        result.transport = mirror.finish()
-        if audit_deltas is not None:
-            _run_audit(result, obs_state, audit_deltas, audit_initial)
-    if obs_state is not None:
-        result.obs = obs_state.finish()
-    if (
-        result.audit is not None
-        and not result.audit.ok
-        and obs_state is not None
-        and obs_state.spec.audit_strict
-    ):
-        result.audit.raise_on_violation()
-    return result
-
-
-def duel(
-    graph: Graph,
-    healers: Sequence[Callable[[Graph], Healer]],
-    adversary_factory: Callable[[], Adversary],
-    rounds: Optional[int] = None,
-    exact_diameter: bool = False,
-    metrics: Optional[str] = None,
-    seed: int = 0,
-    transport: TransportInput = None,
-) -> Dict[str, CampaignResult]:
-    """Run the same attack against several healers on the same graph."""
-    out: Dict[str, CampaignResult] = {}
-    for factory in healers:
-        healer = factory({k: set(v) for k, v in graph.items()})
-        result = run_campaign(
-            healer,
-            adversary_factory(),
-            rounds=rounds,
-            exact_diameter=exact_diameter,
-            metrics=metrics,
-            seed=seed,
-            transport=transport,
-        )
-        out[result.healer_name] = result
-    return out
-
-
-def run_churn_campaign(
-    healer: Healer,
-    adversary: ChurnAdversary,
-    events: int,
-    measure_diameter: bool = True,
-    exact_diameter: bool = False,
-    on_round: Optional[Callable[[RoundRecord, Healer], None]] = None,
-    metrics: Optional[str] = None,
-    seed: int = 0,
-    transport: TransportInput = None,
-    obs: ObsInput = None,
-    keep_rounds: bool = True,
-    metrics_tracker: Optional[DynamicTreeMetrics] = None,
-    faults: FaultInput = None,
-) -> CampaignResult:
-    """Play the churn game: a mixed insert/delete stream against one healer.
-
-    Each round the adversary emits an :class:`~repro.churn.Insert`, an
-    :class:`~repro.churn.InsertWave` (batch join, applied through
-    :meth:`~repro.baselines.base.Healer.insert_batch`), or a
-    :class:`~repro.churn.Delete` after seeing the healed graph; the healer
-    applies it; the record tracks the usual success metrics plus alive-set
-    growth and per-round stretch.  Stops early when the adversary runs out
-    of events (:class:`SimulationOverError`) or the network empties.
-
-    ``metrics`` selects the diameter measurement (:data:`METRICS_MODES`);
-    churn campaigns default to ``"auto"``: the diameter is maintained
-    incrementally in O(depth) per round — exact on tree overlays, the
-    tree-overlay upper bracket when heals keep chords — which is cheap
-    enough that per-round diameter/stretch stays on by default at
-    n = 10k+.  Campaigns over non-tree inputs (or that disconnect) fall
-    back to the BFS double sweep.  ``seed`` threads the campaign seed
-    into the fallback sweep for end-to-end reproducibility.
-
-    ``transport`` mirrors the campaign onto the matching distributed
-    runtime (``"sync"`` per-event, ``"async"`` with concurrent in-flight
-    heals over the discrete-event simnet, ``"lease"`` additionally
-    interleaving *overlapping* heals via region leases and coordinator
-    handoff), cross-validating the healed image at every quiesce
-    barrier — see :func:`run_campaign`.  ``obs`` attaches the
-    observability stack (metrics / trace / profile / full) the same way.
-    ``keep_rounds=False`` streams the per-round records into O(1)
-    aggregates instead of storing them — the mode the n = 10k..1M
-    sustained-churn ladder runs in (see :func:`run_campaign`).
-
-    ``metrics_tracker`` injects a pre-built
-    :class:`~repro.graphs.incremental.DynamicTreeMetrics` instead of
-    constructing one from the healer's graph — the checkpoint-resume
-    path, where the restored overlay may already carry heal chords that
-    the fresh-start tree gate would reject.  The caller owns making the
-    tracker match the healer's overlay (the soak service rebuilds it
-    from the snapshot's ``parent_state``).
-
-    ``faults`` attaches a hostile-network plan (loss, duplication,
-    crash-during-heal) to the mirrored transport — see
-    :func:`run_campaign`.
-    """
-    initial = healer.graph()
-    n0 = len(initial)
-    meter = _DiameterMeter(
-        _resolve_metrics(metrics, measure_diameter, exact_diameter, default="auto"),
-        initial,
-        seed,
-        tracker=metrics_tracker,
-    )
+    meter = _DiameterMeter(metrics, initial, seed, tracker=metrics_tracker)
     d0 = _initial_diameter(meter, initial)
     result = CampaignResult(
         healer_name=healer.name,
@@ -802,23 +596,36 @@ def run_churn_campaign(
                 )
         except SimulationOverError:
             break
-        if mirror is not None:
-            mirror.apply(report)
-        if audit_deltas is not None:
-            audit_deltas.append(HealDelta.from_report(report))
-        record = _record_round(t, report, healer, meter, d0)
-        result.fold(record)
-        if keep_rounds:
-            result.rounds.append(record)
-        if obs_state is not None and obs_state.metrics is not None:
-            _stream_round(obs_state.metrics, record)
-        if on_round is not None:
-            on_round(record, healer)
-        if mirror is not None and mirror.pending_crash is not None:
-            _recover_crash(
-                mirror, healer, obs_state, meter, d0, t, result,
-                keep_rounds, on_round, audit_deltas,
-            )
+        for crashed in (False, True):
+            if crashed:
+                if mirror is None or mirror.pending_crash is None:
+                    break
+                # A planned crash fired in the mirror: the victim is dead
+                # in the distributed runtime but still alive in the
+                # oracle.  Apply the death to the oracle as an extra,
+                # adversary-invisible deletion, hand its report to the
+                # mirror's repair pass (reset-replay + node-for-node
+                # re-validation), and record it as an ``event="crash"``
+                # round so the incremental metrics tracker stays in step
+                # with the oracle overlay.
+                report = _oracle_step(
+                    obs_state, "oracle:delete", healer.delete, mirror.pending_crash
+                )
+                mirror.recover_from_crash(report)
+            elif mirror is not None:
+                mirror.apply(report)
+            if audit_deltas is not None:
+                audit_deltas.append(HealDelta.from_report(report))
+            record = _record_round(t, report, healer, meter, d0)
+            if crashed:
+                record.event = "crash"
+            result.fold(record)
+            if keep_rounds:
+                result.rounds.append(record)
+            if obs_state is not None and obs_state.metrics is not None:
+                _stream_round(obs_state.metrics, record)
+            if on_round is not None:
+                on_round(record, healer)
     if mirror is not None:
         result.transport = mirror.finish()
         if audit_deltas is not None:
@@ -840,8 +647,7 @@ def churn_duel(
     healers: Sequence[Callable[[Graph], Healer]],
     adversary_factory: Callable[[], ChurnAdversary],
     events: int,
-    exact_diameter: bool = False,
-    metrics: Optional[str] = None,
+    metrics: str = "auto",
     seed: int = 0,
     transport: TransportInput = None,
 ) -> Dict[str, CampaignResult]:
@@ -853,7 +659,100 @@ def churn_duel(
             healer,
             adversary_factory(),
             events=events,
-            exact_diameter=exact_diameter,
+            metrics=metrics,
+            seed=seed,
+            transport=transport,
+        )
+        out[result.healer_name] = result
+    return out
+
+
+class _DeletionGame(DeletionOnlyChurnAdversary):
+    """The Delete and Repair game as a churn stream.
+
+    The stream ends (:class:`SimulationOverError`) once no more than
+    ``floor`` nodes survive, before the inner adversary is asked, so a
+    seeded adversary's RNG is not drawn for a round that never happens.
+    The campaign keeps the inner adversary's name.
+    """
+
+    def __init__(self, inner: Adversary, floor: int):
+        super().__init__(inner)
+        self.name = inner.name
+        self.floor = floor
+
+    def next_event(self, healer: Healer) -> Delete:
+        if len(healer.alive) <= self.floor:
+            raise SimulationOverError("deletion game floor reached")
+        return super().next_event(healer)
+
+
+def run_campaign(
+    healer: Healer,
+    adversary: Adversary,
+    rounds: Optional[int] = None,
+    stop_fraction: float = 0.0,
+    on_round: Optional[Callable[[RoundRecord, Healer], None]] = None,
+    metrics: str = "double-sweep",
+    seed: int = 0,
+    transport: TransportInput = None,
+    obs: ObsInput = None,
+    keep_rounds: bool = True,
+    faults: FaultInput = None,
+) -> CampaignResult:
+    """Play the Delete and Repair game.
+
+    The deletion adversary is lifted into a deletions-only churn stream
+    and played through :func:`run_churn_campaign`, whose parameters
+    (``on_round``, ``seed``, ``transport``, ``obs``, ``keep_rounds``,
+    ``faults``) mean the same here.
+
+    Parameters
+    ----------
+    rounds:
+        Number of deletions (default: until one node remains).
+    stop_fraction:
+        Stop once fewer than this fraction of nodes survive.
+    metrics:
+        One of :data:`METRICS_MODES`, the one switch for the per-round
+        diameter measurement.  The deletion game keeps its historical
+        default, the double sweep (a lower bracket on cyclic healed
+        overlays, exact on trees); ``"exact"`` forces all-pairs BFS,
+        ``"none"`` measures no diameter, and ``"auto"`` or
+        ``"incremental"`` opt into O(depth)-per-round maintenance.
+    """
+    n0 = len(healer.alive)
+    return run_churn_campaign(
+        healer,
+        _DeletionGame(adversary, floor=max(1, int(stop_fraction * n0))),
+        events=rounds if rounds is not None else n0 - 1,
+        on_round=on_round,
+        metrics=metrics,
+        seed=seed,
+        transport=transport,
+        obs=obs,
+        keep_rounds=keep_rounds,
+        faults=faults,
+    )
+
+
+def duel(
+    graph: Graph,
+    healers: Sequence[Callable[[Graph], Healer]],
+    adversary_factory: Callable[[], Adversary],
+    rounds: Optional[int] = None,
+    metrics: str = "double-sweep",
+    seed: int = 0,
+    transport: TransportInput = None,
+) -> Dict[str, CampaignResult]:
+    """Run the same attack against several healers on the same graph."""
+    out: Dict[str, CampaignResult] = {}
+    for factory in healers:
+        healer = factory({k: set(v) for k, v in graph.items()})
+        result = run_campaign(
+            healer,
+            adversary_factory(),
+            rounds=rounds,
             metrics=metrics,
             seed=seed,
             transport=transport,

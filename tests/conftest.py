@@ -8,8 +8,10 @@ from typing import Dict, Iterable, List, Optional
 import pytest
 
 from repro import ForgivingTree
+from repro.baselines import ForgivingTreeHealer
 from repro.core.invariants import check_full
 from repro.graphs import generators, metrics
+from repro.graphs.spanning import bfs_tree, non_tree_edges
 
 
 def run_full_campaign(
@@ -33,6 +35,15 @@ def run_full_campaign(
         if len(ft) > 1 and i % check_every == 0:
             check_full(ft, original_diameter=d0, max_degree=delta)
     return ft
+
+
+def wrap_engine(engine_cls, graph) -> ForgivingTreeHealer:
+    """A healer over an ``engine_cls`` engine built from ``graph``, via
+    ``ForgivingTreeHealer.from_engine`` (e.g. the object reference)."""
+    tree = bfs_tree(graph)
+    return ForgivingTreeHealer.from_engine(
+        engine_cls(tree), non_tree_edges(graph, tree)
+    )
 
 
 @pytest.fixture

@@ -118,6 +118,6 @@ class TestCatalog:
         cls = ADVERSARY_CATALOG[name]
         adv = cls()
         healer = ForgivingTreeHealer(generators.random_tree(12, 3))
-        result = run_campaign(healer, adv, rounds=8, measure_diameter=False)
+        result = run_campaign(healer, adv, rounds=8, metrics="none")
         assert result.peak_degree_increase <= 3
         assert len(result.rounds) == 8

@@ -14,6 +14,7 @@ from functools import partial
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import ForgivingTree
 from repro.adversaries import RandomChurnAdversary
 from repro.baselines import ForgivingTreeHealer, healer_catalog
 from repro.baselines.base import AliveOrder
@@ -21,10 +22,11 @@ from repro.faults import CrashDuringHeal, FaultPlan
 from repro.graphs import generators
 from repro.harness import run_churn_campaign
 from repro.simnet import TransportSpec
+from tests.conftest import wrap_engine
 
 HEALERS = {
     **healer_catalog(),
-    "forgiving-tree-object": partial(ForgivingTreeHealer, core="object"),
+    "forgiving-tree-object": partial(wrap_engine, ForgivingTree),
 }
 
 

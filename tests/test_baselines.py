@@ -33,14 +33,14 @@ class TestSurrogate:
         n = 40
         healer = SurrogateHealer(generators.star(n))
         adv = SurrogateKillerAdversary()
-        result = run_campaign(healer, adv, rounds=n // 2, measure_diameter=False)
+        result = run_campaign(healer, adv, rounds=n // 2, metrics="none")
         assert result.peak_degree_increase >= n - 3
 
     def test_forgiving_tree_immune_to_same_attack(self):
         n = 40
         healer = ForgivingTreeHealer(generators.star(n))
         adv = SurrogateKillerAdversary()
-        result = run_campaign(healer, adv, rounds=n // 2, measure_diameter=False)
+        result = run_campaign(healer, adv, rounds=n // 2, metrics="none")
         assert result.peak_degree_increase <= 3
 
 
@@ -55,7 +55,7 @@ class TestLine:
         # rounds stays far below the surrogate's Θ(n).
         healer = LineHealer(generators.random_tree(40, 1))
         adv = SurrogateKillerAdversary()
-        result = run_campaign(healer, adv, rounds=20, measure_diameter=False)
+        result = run_campaign(healer, adv, rounds=20, metrics="none")
         assert result.peak_degree_increase <= 6
 
     def test_diameter_blowup_vs_forgiving(self):
@@ -123,7 +123,7 @@ class TestForgivingTreeHealer:
         g = generators.random_connected_gnp(40, 0.1, seed=6)
         healer = ForgivingTreeHealer(g)
         adv = SurrogateKillerAdversary()
-        result = run_campaign(healer, adv, rounds=35, measure_diameter=False)
+        result = run_campaign(healer, adv, rounds=35, metrics="none")
         assert result.peak_degree_increase <= 3
 
     def test_rejects_disconnected(self):

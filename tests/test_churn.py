@@ -235,7 +235,7 @@ class TestChurnAdversaries:
                 healer,
                 RandomChurnAdversary(p_insert=0.5, seed=seed),
                 events=40,
-                measure_diameter=False,
+                metrics="none",
             )
             assert len(result.rounds) == 40
 

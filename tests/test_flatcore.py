@@ -10,9 +10,10 @@ the same wills, and the same degree accounting.  Everything here drives
 both engines with the same drawn events and asserts that contract.
 
 Also covered: the free-list id recycling that keeps the arena bounded,
-``from_parents`` O(n) construction, the healer's ``core=`` knob and fast
-path (``fast_stats``), the harness's streaming
-``keep_rounds=False`` mode, and the benchmark table's numeric coercion.
+``from_parents`` O(n) construction, the healer over either engine
+(``from_engine``) and its fast path (``fast_stats``), the harness's
+streaming ``keep_rounds=False`` mode, and the benchmark table's numeric
+coercion.
 """
 
 import importlib.util
@@ -22,8 +23,8 @@ import random
 import pytest
 
 from repro import FlatForgivingTree, ForgivingTree
-from repro.adversaries import RandomChurnAdversary
-from repro.baselines import ENGINE_CORES, ForgivingTreeHealer
+from repro.adversaries import MaxDegreeAdversary, RandomChurnAdversary
+from repro.baselines import ForgivingTreeHealer, NoRepairHealer
 from repro.core import invariants
 from repro.core.errors import (
     NodeNotFoundError,
@@ -33,7 +34,8 @@ from repro.core.errors import (
 from repro.graphs import generators
 from repro.graphs.adjacency import is_connected
 from repro.graphs.incremental import DynamicTreeMetrics
-from repro.harness import run_churn_campaign
+from repro.harness import run_campaign, run_churn_campaign
+from tests.conftest import wrap_engine
 
 
 def _load_bench_conftest():
@@ -365,23 +367,12 @@ class TestFromParents:
             DynamicTreeMetrics.from_parents([-1, 9])
 
 
-class TestHealerCoreKnob:
-    def test_engine_catalog(self):
-        assert set(ENGINE_CORES) == {"flat", "object"}
-        assert ENGINE_CORES["flat"] is FlatForgivingTree
-        assert ENGINE_CORES["object"] is ForgivingTree
-
-    def test_unknown_core_rejected(self):
-        with pytest.raises(ValueError):
-            ForgivingTreeHealer({0: {1}, 1: {0}}, core="numpy")
-
+class TestHealerEngines:
     def test_cores_heal_identically_behind_the_healer(self):
         tree = generators.random_tree(30, seed=12)
         healers = {
-            core: ForgivingTreeHealer(
-                {k: set(v) for k, v in tree.items()}, core=core
-            )
-            for core in ("flat", "object")
+            "flat": ForgivingTreeHealer({k: set(v) for k, v in tree.items()}),
+            "object": wrap_engine(ForgivingTree, tree),
         }
         rng = random.Random(12)
         next_id = len(tree)
@@ -399,6 +390,34 @@ class TestHealerCoreKnob:
                 reports = [h.delete(victim) for h in healers.values()]
             assert report_key(reports[0]) == report_key(reports[1])
             assert healers["flat"].graph() == healers["object"].graph()
+
+    @pytest.mark.parametrize("engine_cls", [FlatForgivingTree, ForgivingTree])
+    def test_wrapped_healer_matches_constructed_on_non_tree_graph(
+        self, engine_cls
+    ):
+        graph = generators.preferential_attachment(30, 2, seed=14)
+        built = ForgivingTreeHealer({k: set(v) for k, v in graph.items()})
+        wrapped = wrap_engine(engine_cls, graph)
+        # The extras are original edges: nothing is heal-induced yet.
+        assert built.max_degree_increase() == wrapped.max_degree_increase() == 0
+        rng = random.Random(14)
+        next_id = len(graph)
+        for _ in range(40):
+            alive = sorted(built.alive)
+            if len(alive) <= 2:
+                break
+            if rng.random() < 0.35:
+                attach = rng.choice(alive)
+                reports = [h.insert(next_id, attach) for h in (built, wrapped)]
+                next_id += 1
+            else:
+                victim = rng.choice(alive)
+                reports = [h.delete(victim) for h in (built, wrapped)]
+            assert report_key(reports[0]) == report_key(reports[1])
+            assert built.graph() == wrapped.graph()
+            for nid in built.alive:
+                assert built.degree_increase(nid) == wrapped.degree_increase(nid)
+            assert built.max_degree_increase() == wrapped.max_degree_increase()
 
     def test_fast_stats_agrees_with_the_graph(self):
         tree = generators.random_tree(40, seed=13)
@@ -420,14 +439,42 @@ class TestHarnessStreaming:
         return run_churn_campaign(healer, adversary, events=80,
                                   metrics="auto", keep_rounds=keep_rounds)
 
+    @staticmethod
+    def _from_rounds(rounds):
+        """The aggregate properties recomputed from the kept records."""
+        return {
+            "peak_degree_increase": max(r.max_degree_increase for r in rounds),
+            "peak_diameter": max(
+                (r.diameter for r in rounds if r.diameter is not None), default=0
+            ),
+            "stayed_connected": all(r.connected for r in rounds),
+            "peak_messages_per_node": max(r.max_messages_per_node for r in rounds),
+            "n_inserts": sum(r.event == "insert" for r in rounds),
+            "n_deletes": sum(r.event == "delete" for r in rounds),
+            "final_alive": rounds[-1].alive,
+        }
+
     def test_fold_equals_rounds(self):
         kept, streamed = self._campaign(True), self._campaign(False)
         assert kept.rounds and not streamed.rounds
         assert streamed.series("alive") == []
-        for prop in ("peak_degree_increase", "peak_diameter",
-                     "stayed_connected", "peak_messages_per_node",
-                     "n_inserts", "n_deletes", "final_alive"):
-            assert getattr(streamed, prop) == getattr(kept, prop), prop
+        for prop, value in self._from_rounds(kept.rounds).items():
+            assert getattr(kept, prop) == value, prop
+            assert getattr(streamed, prop) == value, prop
+
+    def test_fold_keeps_a_negative_peak_degree_increase(self):
+        # Hub deletions with no repair shrink every surviving degree.
+        def run(keep_rounds):
+            return run_campaign(
+                NoRepairHealer(generators.star(8)), MaxDegreeAdversary(),
+                metrics="none", keep_rounds=keep_rounds,
+            )
+
+        kept, streamed = run(True), run(False)
+        expected = self._from_rounds(kept.rounds)
+        assert expected["peak_degree_increase"] < 0
+        for prop, value in expected.items():
+            assert getattr(streamed, prop) == value, prop
 
     def test_metrics_none_with_fast_stats_skips_nothing_observable(self):
         tree = generators.random_tree(60, seed=22)

@@ -45,7 +45,7 @@ class TestRunCampaign:
 
     def test_exact_diameter_mode(self):
         healer = ForgivingTreeHealer(generators.path(8))
-        result = run_campaign(healer, RandomAdversary(5), rounds=3, exact_diameter=True)
+        result = run_campaign(healer, RandomAdversary(5), rounds=3, metrics="exact")
         assert all(r.diameter is not None for r in result.rounds if r.connected)
 
     def test_duel(self):

@@ -586,7 +586,7 @@ def _traced(tmp_path, tag, healer_cls=ForgivingTreeHealer, seed=7,
     adv = ScatterChurnAdversary(p_insert=0.3, seed=seed)
     trace_path = str(tmp_path / f"trace-{tag}.json")
     res = run_churn_campaign(
-        healer, adv, events=30, seed=seed, measure_diameter=False,
+        healer, adv, events=30, seed=seed, metrics="none",
         transport=TransportSpec(
             mode="async", overlap="lease", latency=latency,
             scheduler=scheduler, gap=0.1,
@@ -647,7 +647,7 @@ class TestTraceDeterminism:
                 healer = healer_cls(_tree_graph(20, 4))
                 adv = RandomChurnAdversary(p_insert=0.3, seed=4)
                 res = run_churn_campaign(
-                    healer, adv, events=6, seed=4, measure_diameter=False,
+                    healer, adv, events=6, seed=4, metrics="none",
                     transport=TransportSpec(
                         mode="async", latency=latency, scheduler=scheduler
                     ),
@@ -671,7 +671,7 @@ class TestSpanTreeFuzz:
         healer = ForgivingTreeHealer(_tree_graph(16, 1 + seed % 5))
         adv = RandomChurnAdversary(p_insert=p_insert, seed=seed)
         res = run_churn_campaign(
-            healer, adv, events=5, seed=seed, measure_diameter=False,
+            healer, adv, events=5, seed=seed, metrics="none",
             transport=TransportSpec(
                 mode="async", latency=latency, scheduler=scheduler
             ),

@@ -33,7 +33,7 @@ class TestTheorem1Degree:
     def test_degree_increase_at_most_three(self, family, adversary):
         tree = generators.TREE_FAMILIES[family](50, 2)
         healer = ForgivingTreeHealer({k: set(v) for k, v in tree.items()})
-        result = run_campaign(healer, adversary, measure_diameter=False)
+        result = run_campaign(healer, adversary, metrics="none")
         assert result.peak_degree_increase <= bounds.thm1_degree_bound()
 
     def test_bound_is_tight(self):
@@ -52,7 +52,7 @@ class TestTheorem1Diameter:
         delta = max(len(v) for v in tree.values())
         envelope = bounds.thm1_diameter_bound(d0, delta)
         healer = ForgivingTreeHealer({k: set(v) for k, v in tree.items()})
-        result = run_campaign(healer, CenterAdversary(), measure_diameter=True)
+        result = run_campaign(healer, CenterAdversary())
         assert result.peak_diameter <= envelope
         assert result.stayed_connected
 
