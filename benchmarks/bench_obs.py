@@ -8,8 +8,8 @@ handoff transitions, quiesce barriers):
   tracing + metrics + profiling + flight recorder) against ``obs=None``
   (every hook collapses to one attribute/None check), at n ∈ {100, 1000}.
 * **the no-op hook itself** — a direct microbenchmark of the disabled
-  guards (``tracer.enabled`` / ``profiler is None`` / ``metrics is not
-  None``), scaled by the hooks executed per event, as a fraction of the
+  guards (``tracer.enabled`` / ``profiler is None``), scaled by the
+  hooks executed per event, as a fraction of the
   disabled-mode per-event cost.  This is the ISSUE's acceptance bar:
   the disabled stack must cost **< 5%** — and being a deterministic
   count × a nanosecond-scale branch, the assertion is stable where a
@@ -19,9 +19,11 @@ handoff transitions, quiesce barriers):
 (``obs="audit"``) is one linear pass over the exported log at
 quiescence, so its cost is measured directly — re-certification wall
 against campaign wall on the same audited run — and must stay under
-the same **< 5%** bar.  A linear scan of a few hundred records vs a
-whole discrete-event campaign makes this assertion as stable as the
-hook count.
+the same **< 5%** bar.  Each of three same-seed audited campaigns is
+paired with one re-certification of its own log, and the bar applies
+to the median of the three paired ratios: at n = 100 the pass takes a
+few ms against a ~50 ms campaign, so one unpaired wall-clock sample
+sits within OS noise of the bar.
 
 Results go to ``benchmarks/out/BENCH_obs.json``.  Quick mode:
 ``CHURN_BENCH_QUICK=1``.
@@ -43,10 +45,13 @@ EVENTS = (lambda n: 40) if QUICK else (lambda n: max(80, n // 8))
 SEED = 13
 
 #: Disabled-mode guards executed per delivered message (the hot path):
-#: the kernel's tracer check, profiler check and metrics check in
-#: ``_deliver``, plus the sampler's tracer check.  Everything else
-#: (per-heal, per-barrier) is amortized over many deliveries.
-HOOKS_PER_DELIVERY = 4
+#: the kernel's tracer check and profiler check in ``_deliver``, plus
+#: the sampler's tracer check.  Everything else (per-heal metrics,
+#: per-barrier work) is amortized over many deliveries.
+HOOKS_PER_DELIVERY = 3
+
+#: Paired audited campaigns per size (EXP-AUDIT-OVERHEAD).
+AUDIT_PAIRS = 3
 
 
 def _campaign(n, obs):
@@ -94,18 +99,16 @@ def measure_hook_cost():
     """The disabled guards' cost per event, as a fraction of event cost.
 
     Times the exact branch the hot path takes when obs is off
-    (``NO_TRACE.enabled`` plus two ``None`` checks) and scales it by the
-    per-event delivery count of the measured campaign.
+    (``NO_TRACE.enabled`` twice plus one ``None`` check) and scales it
+    by the per-event delivery count of the measured campaign.
     """
-    tracer, profiler, metrics = NO_TRACE, None, None
+    tracer, profiler = NO_TRACE, None
     reps = 200_000
     t0 = time.perf_counter_ns()
     for _ in range(reps):
         if tracer.enabled:  # pragma: no cover - disabled
             pass
         if profiler is not None:  # pragma: no cover - disabled
-            pass
-        if metrics is not None:  # pragma: no cover - disabled
             pass
         if tracer.enabled:  # pragma: no cover - disabled
             pass
@@ -130,16 +133,25 @@ def run_audit_overhead():
 
     The harness certifies once at quiescence; re-running
     ``audit_inputs.certify()`` here times exactly that pass in
-    isolation, against the audited campaign's total wall."""
+    isolation, against the wall of the audited campaign that produced
+    the log.  :data:`AUDIT_PAIRS` same-seed campaigns give that many
+    paired ratios; the row reports their medians."""
     rows = []
     for n in SIZES:
-        result, campaign_s = _campaign(n, "audit")
-        assert result.audit is not None and result.audit.ok
-        certify_s = float("inf")
-        for _ in range(3):  # best-of-3: the pass's cost, not OS noise
+        pairs = []
+        summary = None
+        for _ in range(AUDIT_PAIRS):
+            result, campaign_s = _campaign(n, "audit")
+            assert result.audit is not None and result.audit.ok
+            # Same seed, same campaign: the pairs differ only in timing.
+            assert summary in (None, result.audit.summary())
+            summary = result.audit.summary()
             t0 = time.perf_counter()
             result.audit_inputs.certify()
-            certify_s = min(certify_s, time.perf_counter() - t0)
+            certify_s = time.perf_counter() - t0
+            pairs.append((certify_s / campaign_s, campaign_s, certify_s))
+        pairs.sort()
+        ratio, campaign_s, certify_s = pairs[len(pairs) // 2]
         rows.append(
             [
                 n,
@@ -148,7 +160,7 @@ def run_audit_overhead():
                 len(result.audit.certificates),
                 f"{1e3 * campaign_s:.1f}",
                 f"{1e3 * certify_s:.2f}",
-                round(certify_s / campaign_s, 4),
+                round(ratio, 4),
             ]
         )
     return rows

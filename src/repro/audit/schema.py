@@ -356,15 +356,10 @@ class HealDelta:
             if isinstance(u, int) and isinstance(v, int):
                 touched.add(_norm(u, v))
         added, removed = report.net_edge_deltas()
-        joiners: Tuple[Tuple[int, int], ...] = ()
-        if report.inserted_batch:
-            joiners = tuple(report.inserted_batch)
-        elif report.inserted is not None and report.attached_to is not None:
-            joiners = ((report.inserted, report.attached_to),)
         return cls(
             kind="insert" if report.is_insertion else "delete",
             victim=report.deleted if report.deleted >= 0 else -1,
-            joiners=joiners,
+            joiners=tuple(report.joiners),
             added=tuple(sorted(_norm(u, v) for u, v in added)),
             removed=tuple(sorted(_norm(u, v) for u, v in removed)),
             touched=tuple(sorted(touched)),

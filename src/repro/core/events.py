@@ -170,6 +170,17 @@ class HealReport:
     def is_insertion(self) -> bool:
         return self.inserted is not None or bool(self.inserted_batch)
 
+    @property
+    def joiners(self) -> Tuple[Tuple[int, int], ...]:
+        """The round's ``(joiner, attach_to)`` pairs in wave order: the
+        batch wave, a single insert as a wave of one, ``()`` for a
+        deletion."""
+        if self.inserted_batch:
+            return self.inserted_batch
+        if self.inserted is None or self.attached_to is None:
+            return ()
+        return ((self.inserted, self.attached_to),)
+
     def net_edge_deltas(self) -> Tuple[FrozenSet[Tuple[int, int]], FrozenSet[Tuple[int, int]]]:
         """Net ``(added, removed)`` replayed from the chronological log.
 

@@ -35,21 +35,23 @@ Message sizes are accounted honestly: reports and portions carry a leaf
 manifest, so unlike the FT's O(1)-id messages they are O(L) ids for an
 L-leaf haft — the price of the *freshly balanced* (rebuild-on-merge)
 reading of the 2009 algorithm; see ``docs/FORGIVING_GRAPH.md``.
+
+The round itself is the shared :class:`~repro.distributed.driver.ProtocolDriver`
+(the Forgiving Tree runtime's driver too); this module supplies the
+Forgiving Graph's hooks: node construction (no setup traffic), the
+:class:`FGDeleted` fan-out naming the coordinator, the cascade-depth
+guard on waves, the join handshake, and the pointers a node holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..core.errors import (
-    NodeNotFoundError,
-    ProtocolError,
-    SimulationOverError,
-)
-from ..core.events import normalize_wave
+from ..core.errors import NodeNotFoundError, ProtocolError
+from ..distributed.driver import ProtocolDriver
 from ..distributed.messages import Message
-from ..distributed.network import Network, RoundStats
+from ..distributed.network import Network
 from ..graphs.adjacency import Graph
 from .rtree import Ref, ReconstructionTree, fold_manifests
 
@@ -311,161 +313,56 @@ class FGNode:
             self._send(FGWeightUpdate(sender=self.nid, recipient=self.ins_parent))
 
 
-class DistributedForgivingGraph:
+class DistributedForgivingGraph(ProtocolDriver):
     """Message-passing Forgiving Graph over an initial general graph.
 
-    The public surface mirrors :class:`DistributedForgivingTree` where it
-    matters for cross-validation: ``alive``, ``delete`` / ``insert`` /
-    ``insert_batch`` returning per-round
-    :class:`~repro.distributed.network.RoundStats`, and the image graph
-    derived strictly from both endpoints' local claims.
+    The public surface is the shared driver's (as for
+    :class:`~repro.distributed.protocol.DistributedForgivingTree`):
+    ``alive``, ``delete`` / ``insert`` / ``insert_batch`` returning
+    per-round :class:`~repro.distributed.network.RoundStats`, and the
+    image graph derived strictly from both endpoints' local claims.
     """
+
+    TRACE_PREFIX = "fg"
+    # The weight cascade runs one hop per sub-round, so a round's
+    # latency is the insertion-forest depth — deeper than the FT's O(1)
+    # heals.  Keep a generous livelock guard instead of the default 64
+    # (an async kernel's ``max_depth`` should be similarly generous).
+    MAX_SUB_ROUNDS = 4096
 
     def __init__(self, graph: Graph, network: Optional[Network] = None):
         if not graph:
             raise NodeNotFoundError(-1, "empty initial graph")
-        # The weight cascade runs one hop per sub-round, so a round's
-        # latency is the insertion-forest depth — deeper than the FT's
-        # O(1) heals.  Keep a generous livelock guard instead of the
-        # default 64.  ``network`` plugs in an alternative transport
-        # (e.g. the discrete-event :class:`repro.simnet.AsyncNetwork`,
-        # whose ``max_depth`` should be similarly generous); it must be
-        # empty.
-        if network is not None and len(network):
-            raise ProtocolError("provided network already has nodes")
-        self.network = Network(max_sub_rounds=4096) if network is None else network
-        self.original_degree: Dict[int, int] = {
-            n: len(neigh) for n, neigh in graph.items()
-        }
-        self._ever: Set[int] = set(graph)
-        self.rounds = 0
+        super().__init__(graph, network)
+
+    # No setup traffic: hafts (and their manifests) only exist after the
+    # first failure, so round 0 is empty.
+    def _build(self, graph: Graph) -> None:
         for nid in graph:
             self.network.register(FGNode(nid))
         for nid, neigh in graph.items():
             node = self.network.nodes[nid]
             node.direct = {int(m) for m in neigh if int(m) != nid}
-        # No setup traffic: hafts (and their manifests) only exist after
-        # the first failure.  The empty round keeps stats indexing
-        # aligned with the FT runtime (round 0 = setup).
-        self.network.begin_round(0)
-        self.setup_stats = self.network.run_round(0)
 
-    # ------------------------------------------------------------------
-    @property
-    def alive(self) -> Set[int]:
-        return set(self.network.nodes)
-
-    def __len__(self) -> int:
-        return len(self.network)
-
-    def __contains__(self, nid: int) -> bool:
-        return nid in self.network
-
-    def check_delete(self, nid: int) -> None:
-        """Validate a deletion without mutating anything."""
-        if not self.network.nodes:
-            raise SimulationOverError("all nodes already deleted")
-        if nid not in self.network:
-            raise NodeNotFoundError(nid, "delete")
-
-    def heal_coordinator(self, nid: int) -> Optional[int]:
-        """The coordinator the heal of ``nid`` would elect, from live
-        local state: the smallest-id image neighbor — the same node
-        :meth:`inject_delete`'s fan-out names.  Under the region-lease
-        overlap policy this is also the handoff anchor a delegated
-        overlapping event queues on (``docs/LEASES.md``); ``None`` for
-        an isolated victim."""
-        if nid not in self.network:
-            raise NodeNotFoundError(nid, "heal_coordinator")
-        claims = self.network.nodes[nid].neighbor_claims()
-        return min(claims) if claims else None
-
-    def inject_delete(self, nid: int) -> None:
-        """Remove the victim and send the failure fan-out *without*
-        draining the network (async transports overlap heals — and
-        resume delegated events mid-flight under the region-lease
-        policy; the caller must have opened an accounting window)."""
-        self.check_delete(nid)
-        self.rounds += 1
-        victim = self.network.remove(nid)
-        claims = sorted(victim.neighbor_claims())
-        self.network.trace_instant("fg:delete", victim=nid, fanout=len(claims))
+    def _fanout(self, victim: int, claims: Sequence[int]) -> None:
+        """Name the smallest-id claimant coordinator (the same node
+        :meth:`heal_coordinator` reports) and how many reports it
+        should expect."""
         if claims:
             coordinator = claims[0]
             for neighbor in claims:
                 self.network.send(
                     FGDeleted(
-                        sender=nid,
+                        sender=victim,
                         recipient=neighbor,
-                        victim=nid,
+                        victim=victim,
                         coordinator=coordinator,
                         n_reports=len(claims),
                     )
                 )
 
-    def delete(self, nid: int) -> RoundStats:
-        """Adversary deletes ``nid``; image neighbors detect and heal."""
-        self.check_delete(nid)
-        self.network.begin_round(self.rounds + 1)
-        self.inject_delete(nid)
-        stats = self.network.run_round(self.rounds)
-        self._check_quiescent()
-        return stats
-
-    def insert(self, nid: int, attach_to: int) -> RoundStats:
-        """A new node joins under live ``attach_to`` (a wave of one)."""
-        return self.insert_batch([(nid, attach_to)])
-
-    def insert_batch(self, joiners: Sequence[Tuple[int, int]]) -> RoundStats:
-        """A wave of joiners lands in one round (shared wave semantics).
-
-        Each joiner runs the full INSERT handshake; the weight cascades
-        of a wave interleave across sub-rounds but the per-node tallies
-        are exactly the sum of the single-insert flows, matching the
-        sequential engine's merged batch report.
-        """
-        wave = self._check_wave(joiners)
-        self.network.begin_round(self.rounds + 1)
-        self._inject_wave(wave)
-        stats = self.network.run_round(self.rounds)
-        self._check_quiescent()
-        return stats
-
-    def inject_insert_batch(self, joiners: Sequence[Tuple[int, int]]) -> None:
-        """Register a wave's joiners and send their requests *without*
-        draining (the async-transport half of :meth:`insert_batch`).
-        The caller must have opened an accounting window."""
-        self._inject_wave(self._check_wave(joiners))
-
-    def _check_wave(self, joiners) -> List[Tuple[int, int]]:
-        """Validate a wave (shared rules + the cascade-depth guard)."""
-        wave = normalize_wave(joiners, known_ids=self._ever, alive=self.network)
-        for _nid, attach_to in wave:
-            self._check_cascade_depth(attach_to)
-        return wave
-
-    def _inject_wave(self, wave: Sequence[Tuple[int, int]]) -> None:
-        """The already-validated wave's registration + request fan-out.
-
-        Validation stays in the callers, *before* any accounting window
-        opens — a rejected wave must leave no partial state, and on the
-        async transport an exception after ``begin_round`` would leave
-        the injection context dangling."""
-        self.rounds += 1
-        self.network.trace_instant("fg:insert-wave", joiners=len(wave))
-        for nid, attach_to in wave:
-            node = FGNode(nid)
-            node.direct = {attach_to}
-            node.ins_parent = attach_to
-            self.network.register(node)
-            self._ever.add(nid)
-            self.original_degree[nid] = 1
-            self.original_degree[attach_to] += 1
-        for nid, attach_to in wave:
-            self.network.send(FGInsertRequest(sender=nid, recipient=attach_to))
-
-    def _check_cascade_depth(self, attach_to: int) -> None:
-        """Reject an insert whose weight cascade cannot quiesce.
+    def _check_wave(self, wave: Sequence[Tuple[int, int]]) -> None:
+        """Reject a wave whose weight cascade cannot quiesce.
 
         The cascade climbs the insertion forest one hop per sub-round, so
         a chain deeper than the network's livelock guard would abort the
@@ -474,101 +371,45 @@ class DistributedForgivingGraph:
         depth is read from the nodes' own (exact) parent pointers; the
         protocol's hard limit is validated loudly here instead.
         """
-        depth = 0
-        node = self.network.nodes[attach_to]
-        while node.ins_parent is not None:
-            depth += 1
-            node = self.network.nodes[node.ins_parent]
-        if depth + 3 > self.network.max_sub_rounds:
-            raise ProtocolError(
-                f"insertion-forest chain of depth {depth} above {attach_to} "
-                f"exceeds the {self.network.max_sub_rounds}-sub-round guard "
-                "(one weight-update hop per sub-round)"
-            )
-
-    def _check_quiescent(self) -> None:
-        for nid, node in self.network.nodes.items():
-            if node.pending:
+        for _nid, attach_to in wave:
+            depth = 0
+            node = self.network.nodes[attach_to]
+            while node.ins_parent is not None:
+                depth += 1
+                node = self.network.nodes[node.ins_parent]
+            if depth + 3 > self.network.max_sub_rounds:
                 raise ProtocolError(
-                    f"node {nid} still awaiting {sorted(node.pending)}"
+                    f"insertion-forest chain of depth {depth} above {attach_to} "
+                    f"exceeds the {self.network.max_sub_rounds}-sub-round guard "
+                    "(one weight-update hop per sub-round)"
                 )
 
-    def integrity_violations(self) -> List[Tuple[str, int, str]]:
-        """Protocol-specific corruption scan for the repair pass.
+    def _joiner(self, nid: int, attach_to: int) -> FGNode:
+        node = FGNode(nid)
+        node.direct = {attach_to}
+        node.ins_parent = attach_to
+        return node
 
-        The tolerant mirror of :meth:`_check_quiescent` / ``image_edges``:
-        enumerates every illegality instead of raising at the first —
-        coordinators frozen mid-gather (their reports died with a
-        crashed sender) and dangling pointers (direct edges,
-        insertion-forest parents, RT helper links or portion-parent
-        sims naming a node that no longer exists).  Returns
-        ``(kind, node, detail)`` tuples in the
-        :data:`repro.faults.VIOLATION_KINDS` taxonomy.
-        """
-        out: List[Tuple[str, int, str]] = []
-        alive = set(self.network.nodes)
-        for nid, node in self.network.nodes.items():
-            if node.pending:
-                out.append(
-                    (
-                        "half-applied-heal",
-                        nid,
-                        f"awaiting {sorted(node.pending)}",
-                    )
-                )
-            refs: List[Tuple[str, int]] = [
-                ("direct", d) for d in sorted(node.direct)
-            ]
-            if node.ins_parent is not None:
-                refs.append(("ins_parent", node.ins_parent))
-            if node.port_parent_sim is not None:
-                refs.append(("port_parent_sim", node.port_parent_sim))
-            if node.helper is not None:
-                parent, left, right = node.helper
-                if parent is not None:
-                    refs.append(("helper.parent", parent[0]))
-                refs.append(("helper.left", left[0]))
-                refs.append(("helper.right", right[0]))
-            for where, ref in refs:
-                if ref != nid and ref not in alive:
-                    out.append(
-                        (
-                            "dangling-pointer",
-                            nid,
-                            f"{where} names dead node {ref}",
-                        )
-                    )
-        return out
+    def _request_joins(self, wave: Sequence[Tuple[int, int]]) -> None:
+        """Each joiner runs the full INSERT handshake; the weight
+        cascades of a wave interleave across sub-rounds but the per-node
+        tallies are exactly the sum of the single-insert flows, matching
+        the sequential engine's merged batch report."""
+        for nid, attach_to in wave:
+            self.network.send(FGInsertRequest(sender=nid, recipient=attach_to))
 
-    # ------------------------------------------------------------------
-    def edges(self) -> Set[Tuple[int, int]]:
-        """Current overlay from both endpoints' local state (validated)."""
-        return self.network.image_edges()
-
-    def adjacency(self) -> Graph:
-        adj: Graph = {n: set() for n in self.network.nodes}
-        for u, v in self.edges():
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
-    def degree(self, nid: int) -> int:
-        return len(self.adjacency()[nid])
-
-    def max_degree_increase(self) -> int:
-        adj = self.adjacency()
-        if not adj:
-            return 0
-        return max(len(s) - self.original_degree[n] for n, s in adj.items())
-
-    def last_stats(self) -> RoundStats:
-        return self.network.stats_history[-1]
-
-    def peak_messages_per_node(self) -> int:
-        return max(
-            (
-                max(s.max_sent_per_node, s.max_received_per_node)
-                for s in self.network.stats_history[1:]  # skip setup
-            ),
-            default=0,
-        )
+    def _node_refs(self, node: FGNode) -> Iterator[Tuple[str, int]]:
+        """Direct edges, insertion-forest parent, portion-parent sim and
+        RT helper links."""
+        for d in sorted(node.direct):
+            yield "direct", d
+        if node.ins_parent is not None:
+            yield "ins_parent", node.ins_parent
+        if node.port_parent_sim is not None:
+            yield "port_parent_sim", node.port_parent_sim
+        if node.helper is not None:
+            parent, left, right = node.helper
+            if parent is not None:
+                yield "helper.parent", parent[0]
+            yield "helper.left", left[0]
+            yield "helper.right", right[0]

@@ -271,8 +271,7 @@ class DynamicTreeMetrics:
         in the maintained overlay.  The transport mirror replays the
         same way (``TransportMirror.apply``)."""
         if report.is_insertion:
-            pairs = report.inserted_batch or ((report.inserted, report.attached_to),)
-            for nid, attach_to in pairs:
+            for nid, attach_to in report.joiners:
                 self.insert_leaf(nid, attach_to)
         else:
             added, removed = report.net_edge_deltas()

@@ -66,19 +66,6 @@ def diameter_double_sweep(graph: Graph, seed: int = 0) -> int:
     return max(dist2.values())
 
 
-def diameter(graph: Graph, exact: bool = True, seed: int = 0) -> int:
-    """Diameter; ``exact=False`` uses the double sweep.
-
-    Caveat for ``exact=False``: the double sweep is exact *on trees only*
-    (every healed Forgiving Tree overlay); on general graphs it is a
-    seed-dependent lower bound — see :func:`diameter_double_sweep`.  For
-    per-round measurement over churn campaigns prefer the incremental
-    engine (:class:`repro.graphs.incremental.DynamicTreeMetrics`), which
-    is exact on trees at O(depth) per round instead of O(m).
-    """
-    return diameter_exact(graph) if exact else diameter_double_sweep(graph, seed)
-
-
 def radius(graph: Graph) -> int:
     """Min eccentricity over nodes (exact, all-sources)."""
     if not graph:

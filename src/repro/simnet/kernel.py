@@ -161,9 +161,6 @@ class AsyncNetwork(Network):
     max_depth:
         Livelock guard: a heal deeper than this many causal layers
         raises (the synchronous network's ``max_sub_rounds``).
-    record_samples:
-        Keep the full ``(clock, open_heals, queued)`` time series (the
-        benchmark's in-flight depth trace); peaks are always tracked.
     record_log:
         Keep the per-delivery event log (the determinism tests' pinned
         artifact).  Off by default: long campaigns deliver hundreds of
@@ -179,9 +176,10 @@ class AsyncNetwork(Network):
         message's handler is wall-timed under ``deliver:<MessageType>``
         (the portion walks and RT rebuilds run inside those handlers).
     metrics:
-        A :class:`~repro.obs.MetricsRegistry`; the kernel streams
-        per-heal latency/depth histograms and delivery counters into it
-        (O(1) memory however long the campaign runs).
+        A :class:`~repro.obs.MetricsRegistry`; each heal folds its
+        :class:`HealStats` into it as it quiesces — latency/depth
+        histograms plus delivery and fault counters (O(1) memory however
+        long the campaign runs).
     faults:
         A :class:`~repro.faults.FaultPlan` turning the network hostile:
         per-link loss (absorbed by the timeout/retransmit layer as
@@ -199,7 +197,6 @@ class AsyncNetwork(Network):
         scheduler: SchedulerSpec = "latency",
         seed: int = 0,
         max_depth: int = 4096,
-        record_samples: bool = False,
         record_log: bool = False,
         tracer=NO_TRACE,
         profiler: Optional[PhaseProfiler] = None,
@@ -221,9 +218,7 @@ class AsyncNetwork(Network):
         self.clock = 0.0
         self.delivered = 0
         self.event_log: List[LogRecord] = []
-        self.record_samples = record_samples
         self.record_log = record_log
-        self.samples: List[Tuple[float, int, int]] = []
         self.peak_open_heals = 0
         self.peak_queue_depth = 0
         self._seq = 0
@@ -353,6 +348,22 @@ class AsyncNetwork(Network):
             self.metrics.histogram("kernel.heal_depth").observe(
                 float(stats.sub_rounds)
             )
+            # Every arrival is exactly one of: suppressed duplicate,
+            # dead-recipient drop, or delivery to a live handler.
+            delivered = (
+                sum(stats.received.values()) + stats.dup_suppressed + stats.dead_drops
+            )
+            for name, value in (
+                ("kernel.delivered", delivered),
+                ("kernel.dead_drops", stats.dead_drops),
+                ("faults.drops", stats.dropped),
+                ("faults.retransmissions", stats.total_retransmissions),
+                ("faults.duplicates", stats.duplicated),
+                ("faults.dup_suppressed", stats.dup_suppressed),
+                ("faults.handler_faults", stats.handler_faults),
+            ):
+                if value:
+                    self.metrics.counter(name).inc(value)
 
     # -- transport ---------------------------------------------------------
     def send(self, message: Message) -> None:
@@ -470,9 +481,6 @@ class AsyncNetwork(Network):
                     (PID_PROTOCOL, hid),
                     args={"s": sender, "r": recipient, "lost": lost},
                 )
-            if self.metrics is not None:
-                self.metrics.counter("faults.drops").inc(lost)
-                self.metrics.counter("faults.retransmissions").inc(lost)
         dup_seq = -1
         if p_dup > 0.0 and self._fault_rng.random() < p_dup:
             stats.duplicated += 1
@@ -497,8 +505,6 @@ class AsyncNetwork(Network):
                     (PID_PROTOCOL, hid),
                     args={"s": sender, "r": recipient},
                 )
-            if self.metrics is not None:
-                self.metrics.counter("faults.duplicates").inc()
         return extra_delay, send_seq, lost, dup_seq
 
     def _deliverable(self, horizon: float) -> List[Envelope]:
@@ -569,8 +575,6 @@ class AsyncNetwork(Network):
                         msg=type(msg).__name__, seq=env.seq,
                     )
                 )
-            if self.metrics is not None:
-                self.metrics.counter("faults.dup_suppressed").inc()
         elif node is None:
             # Recipient died (deleted, or crashed without announcing):
             # the message is dropped *permanently* — the retransmit
@@ -585,8 +589,6 @@ class AsyncNetwork(Network):
                         msg=type(msg).__name__, seq=env.seq,
                     )
                 )
-            if self.metrics is not None:
-                self.metrics.counter("kernel.dead_drops").inc()
         else:
             stats.received[msg.recipient] = (
                 stats.received.get(msg.recipient, 0) + 1
@@ -620,13 +622,9 @@ class AsyncNetwork(Network):
                 if env.heal not in self._crashed_heals:
                     raise
                 stats.handler_faults += 1
-                if self.metrics is not None:
-                    self.metrics.counter("faults.handler_faults").inc()
             finally:
                 self._ctx = prev
         self.delivered += 1
-        if self.metrics is not None:
-            self.metrics.counter("kernel.delivered").inc()
         if self._pending[env.heal] == 0:
             self._finalize(env.heal)
         self._sample()
@@ -813,8 +811,6 @@ class AsyncNetwork(Network):
             self.peak_open_heals = open_heals
         if queued > self.peak_queue_depth:
             self.peak_queue_depth = queued
-        if self.record_samples:
-            self.samples.append((self.clock, open_heals, queued))
         if self.tracer.enabled:
             self.tracer.counter(
                 "in-flight",

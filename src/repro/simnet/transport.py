@@ -115,7 +115,6 @@ class TransportSpec:
     gap: float = 0.25
     barrier_every: int = 8
     max_depth: int = 4096
-    record_samples: bool = False
     overlap: str = "serialize"
     max_wait_chain: int = 32
     faults: Optional[FaultPlan] = None
@@ -182,11 +181,7 @@ def heal_footprint(report: HealReport, graph=None) -> Set[int]:
     fp: Set[int] = set()
     if report.deleted >= 0:
         fp.add(report.deleted)
-    if report.inserted is not None:
-        fp.add(report.inserted)
-    if report.attached_to is not None:
-        fp.add(report.attached_to)
-    for nid, attach_to in report.inserted_batch:
+    for nid, attach_to in report.joiners:
         fp.add(nid)
         fp.add(attach_to)
     fp.update(report.messages_per_node)
@@ -315,7 +310,6 @@ class TransportMirror:
                 scheduler=spec.scheduler,
                 seed=self.seed,
                 max_depth=spec.max_depth,
-                record_samples=spec.record_samples,
                 record_log=spec.record_log,
                 tracer=self.tracer,
                 profiler=self.profiler,
@@ -341,7 +335,6 @@ class TransportMirror:
             # reports campaign concurrency, not setup fan-out.
             self.net.peak_open_heals = 0
             self.net.peak_queue_depth = 0
-            self.net.samples.clear()
         # The expected image is maintained from the mirrored reports'
         # exact edge deltas: a conflict barrier fires *before* the
         # triggering event is injected, at which point the live oracle is
@@ -424,10 +417,13 @@ class TransportMirror:
             if self.spec.faults is not None
             else None
         )
+        # A planned crash with nobody to kill (isolated victim, empty
+        # footprint) is skipped: the event applies normally.
+        victim = None if crash is None else self._crash_victim(report, crash)
         if self.spec.mode == "sync":
-            self._apply_now(report)
-        elif crash is not None:
-            self._apply_crash(report, crash)
+            self.driver.apply_report(report)
+        elif victim is not None:
+            self._apply_crash(report, crash.layer, victim)
         elif self.spec.overlap == "lease":
             self._apply_lease(report)
         else:
@@ -451,12 +447,6 @@ class TransportMirror:
             return
         if self.spec.barrier_every and self._since_barrier >= self.spec.barrier_every:
             self.barrier()
-
-    def _apply_now(self, report: HealReport) -> None:
-        if report.is_insertion:
-            self.driver.insert_batch(self._wave(report))
-        else:
-            self.driver.delete(report.deleted)
 
     def _footprint(self, report: HealReport) -> Set[int]:
         """Extract the heal footprint, timed when profiling is on."""
@@ -496,7 +486,7 @@ class TransportMirror:
         # lease admission reorders injections.
         hid = self.net.open_heal(
             label=(
-                f"insert-{self._wave(report)[0][0]}"
+                f"insert-{report.joiners[0][0]}"
                 if report.is_insertion
                 else f"delete-{report.deleted}"
             ),
@@ -506,12 +496,18 @@ class TransportMirror:
             layer, victim = self._arm_next
             self._arm_next = None
             self.net.arm_crash(hid, layer, victim)
-        if report.is_insertion:
-            self.driver.inject_insert_batch(self._wave(report))
-        else:
-            self.driver.inject_delete(report.deleted)
+        self.driver.inject_report(report)
         self.net.close_injection()
         return hid
+
+    def _coordinator(self, report: HealReport) -> Optional[int]:
+        """The heal's handoff anchor: the first wave attachment point for
+        insertions, :meth:`heal_coordinator` for deletions.  Must run
+        *before* injection: the victim's removal consumes its local
+        neighbor claims."""
+        if report.is_insertion:
+            return report.joiners[0][1]
+        return self.driver.heal_coordinator(report.deleted)
 
     # -- the crash-during-heal fault plane ------------------------------
     def _crash_victim(
@@ -519,17 +515,14 @@ class TransportMirror:
     ) -> Optional[int]:
         """Pick the node the :class:`CrashDuringHeal` kills.
 
-        ``"coordinator"`` is the heal's handoff anchor (the first wave
-        attachment point for insertions, :meth:`heal_coordinator` for
-        deletions); ``"participant"`` is the largest-id *other* live
-        footprint member, falling back to the coordinator when the heal
-        has no other participant.  ``None`` (degenerate heal with no
-        live coordinator) applies the event normally, crash skipped.
+        ``"coordinator"`` is the heal's handoff anchor
+        (:meth:`_coordinator`); ``"participant"`` is the largest-id
+        *other* live footprint member, falling back to the coordinator
+        when the heal has no other participant.  ``None`` (degenerate
+        heal with no live coordinator) applies the event normally, crash
+        skipped.
         """
-        if report.is_insertion:
-            coordinator: Optional[int] = self._wave(report)[0][1]
-        else:
-            coordinator = self.driver.heal_coordinator(report.deleted)
+        coordinator = self._coordinator(report)
         if crash.target == "coordinator" or coordinator is None:
             return coordinator
         pool = sorted(
@@ -539,7 +532,7 @@ class TransportMirror:
         )
         return pool[-1] if pool else coordinator
 
-    def _apply_crash(self, report: HealReport, crash) -> None:
+    def _apply_crash(self, report: HealReport, layer: int, victim: int) -> None:
         """Inject one event with a mid-heal crash armed in the kernel.
 
         Serialize mode runs a containment barrier first so the doomed
@@ -551,15 +544,6 @@ class TransportMirror:
         :attr:`pending_crash` hands the victim to the campaign loop.
         """
         assert self.net is not None
-        victim = self._crash_victim(report, crash)
-        if victim is None:
-            # Nobody to kill (isolated victim, empty footprint): the
-            # event applies normally and the planned crash is skipped.
-            if self.spec.overlap == "lease":
-                self._apply_lease(report)
-            else:
-                self._apply_serialize(report)
-            return
         if self.spec.overlap == "lease":
             eid = self.events
             now = self.net.clock
@@ -570,13 +554,13 @@ class TransportMirror:
                 report,
                 frozenset(self._footprint(report)),
                 now,
-                arm=(crash.layer, victim),
+                arm=(layer, victim),
             )
             self.net.quiesce()
             self._pump_leases()
         else:
             self.barrier()  # containment: the doomed heal flies alone
-            self._arm_next = (crash.layer, victim)
+            self._arm_next = (layer, victim)
             self._inject(report)
             self.net.quiesce()
             self._inflight.clear()
@@ -642,10 +626,7 @@ class TransportMirror:
         fresh_net = Network(max_sub_rounds=self.spec.max_depth)
         driver, oracle_edges = self._build_driver(self._healer, fresh_net)
         for rep in self._history:
-            if rep.is_insertion:
-                driver.insert_batch(self._wave(rep))
-            else:
-                driver.delete(rep.deleted)
+            driver.apply_report(rep)
         assert self.net is not None
         self.net.adopt(list(fresh_net.nodes.values()))
         driver.network = self.net
@@ -748,12 +729,7 @@ class TransportMirror:
         assert self.net is not None
         handoff = self.ledger[eid]
         waited = handoff.state != "granted"
-        if report.is_insertion:
-            coordinator: Optional[int] = self._wave(report)[0][1]
-        else:
-            # Computed *before* injection: the victim's removal consumes
-            # its local neighbor claims.
-            coordinator = self.driver.heal_coordinator(report.deleted)
+        coordinator = self._coordinator(report)
         hid = self._inject(
             report, requested_at=handoff.requested_at if waited else None
         )
@@ -825,13 +801,6 @@ class TransportMirror:
                     f"{sorted(self._deferred)} and no live heal to release"
                 )
         self.net.quiesce()
-
-    @staticmethod
-    def _wave(report: HealReport) -> Sequence[Tuple[int, int]]:
-        if report.inserted_batch:
-            return report.inserted_batch
-        assert report.inserted is not None and report.attached_to is not None
-        return ((report.inserted, report.attached_to),)
 
     def _prune_inflight(self) -> None:
         assert self.net is not None

@@ -121,7 +121,6 @@ class TestMetrics:
         for fn in (
             metrics.diameter_exact,
             metrics.diameter_double_sweep,
-            metrics.diameter,
             metrics.radius,
             metrics.center,
         ):
@@ -132,7 +131,6 @@ class TestMetrics:
         g = {7: set()}
         assert metrics.diameter_exact(g) == 0
         assert metrics.diameter_double_sweep(g) == 0
-        assert metrics.diameter(g, exact=False) == 0
         assert metrics.radius(g) == 0
         assert metrics.center(g) == {7}
         assert metrics.eccentricity(g, 7) == 0
@@ -147,13 +145,6 @@ class TestMetrics:
             metrics.radius(g)
         with pytest.raises(DisconnectedGraphError):
             metrics.center(g)
-
-    def test_diameter_dispatch(self):
-        g = gen.random_tree(20, seed=5)
-        assert metrics.diameter(g, exact=True) == metrics.diameter_exact(g)
-        assert metrics.diameter(g, exact=False, seed=3) == metrics.diameter_double_sweep(
-            g, seed=3
-        )
 
     def test_double_sweep_deterministic_per_seed(self):
         g = gen.random_connected_gnp(30, 0.12, seed=7)

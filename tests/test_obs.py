@@ -576,6 +576,38 @@ class TestHarnessObs:
         assert any(p.startswith("deliver:") for p in o.profile)
         assert any(p.startswith("oracle:") for p in o.profile)
 
+    @pytest.mark.parametrize("healer_cls", [ForgivingTreeHealer, ForgivingGraphHealer])
+    def test_kernel_counters_fold_heal_stats(self, healer_cls):
+        """Each kernel counter is folded once from its heal's stats and
+        agrees with the transport summary's own tallies."""
+        from repro.faults import CrashDuringHeal, FaultPlan
+
+        res = run_churn_campaign(
+            healer_cls(_tree_graph(40, 3)),
+            ScatterChurnAdversary(p_insert=0.3, seed=3),
+            events=20, seed=3, metrics="none",
+            transport=TransportSpec(mode="async", gap=0.1),
+            faults=FaultPlan(
+                drop=0.1, dup=0.05, crashes=(CrashDuringHeal(event=4),)
+            ),
+            obs="metrics",
+        )
+        m = res.obs.metrics
+        fs = res.transport.faults
+        assert m["kernel.delivered"] == res.transport.messages_delivered
+        assert fs.drops > 0 and fs.duplicates > 0
+        for name, value in (
+            ("kernel.dead_drops", fs.dead_drops),
+            ("faults.drops", fs.drops),
+            ("faults.retransmissions", fs.retransmissions),
+            ("faults.duplicates", fs.duplicates),
+            ("faults.dup_suppressed", fs.dup_suppressed),
+            ("faults.handler_faults", fs.handler_faults),
+        ):
+            # A counter exists only once its value is non-zero.
+            assert m.get(name, 0) == value, name
+            assert (name in m) == (value > 0), name
+
 
 # ----------------------------------------------------------------------
 # the acceptance wall: trace <-> summary cross-check, byte determinism

@@ -29,6 +29,7 @@ from repro.fgraph import DistributedForgivingGraph, ForgivingGraph
 from repro.fgraph.healer import ForgivingGraphHealer
 from repro.graphs import generators
 from repro.harness import TRANSPORT_MODES, run_campaign, run_churn_campaign
+from repro.obs import Tracer
 from repro.simnet import (
     LATENCY_CATALOG,
     SCHEDULER_CATALOG,
@@ -196,7 +197,8 @@ class TestAsyncNetworkDropIn:
             net.close_injection()
 
     def test_open_heals_and_in_flight(self):
-        net = AsyncNetwork(latency="constant", seed=0, record_samples=True)
+        tracer = Tracer()
+        net = AsyncNetwork(latency="constant", seed=0, tracer=tracer)
         dist = DistributedForgivingTree(generators.random_tree(12, 2), network=net)
         assert net.open_heals() == []
         hid = net.open_heal(label="delete-0")
@@ -209,7 +211,13 @@ class TestAsyncNetworkDropIn:
         assert net.open_heals() == []
         assert net.heal_pending(hid) == 0
         assert net.heal_stats(hid).quiesced_at >= 0
-        assert net.samples  # record_samples keeps the time series
+        # The trace's in-flight counter track records the series.
+        series = [
+            ev["args"] for ev in tracer.chrome_events()
+            if ev["ph"] == "C" and ev["name"] == "in-flight"
+        ]
+        assert {"heals": 1, "queued": queued} in series
+        assert series[-1] == {"heals": 0, "queued": 0}
 
     def test_depth_guard_trips_and_network_survives(self):
         """A heal deeper than max_depth raises instead of livelocking —
